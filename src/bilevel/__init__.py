@@ -34,9 +34,12 @@ from .threshold import (
     IterationStep,
     ThresholdResult,
     binarize,
+    binarized_histogram,
     fixed_point_oracle,
     iterative_optimum_threshold,
     mean_threshold,
+    select_iterative,
+    select_mean,
 )
 
 __version__ = "0.1.0"
@@ -57,6 +60,7 @@ __all__ = [
     "TruncatedDataError",
     "UnsupportedDepthError",
     "binarize",
+    "binarized_histogram",
     "build_histogram",
     "class_mean",
     "emit_histogram_csv",
@@ -69,5 +73,7 @@ __all__ = [
     "read_pgm",
     "round_half_up",
     "save_pgm",
+    "select_iterative",
+    "select_mean",
     "write_pgm",
 ]

@@ -9,6 +9,7 @@ after all payloads are staged.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 from pathlib import Path
@@ -20,8 +21,9 @@ from .threshold import (
     METHOD_ITERATIVE,
     METHOD_MEAN,
     binarize,
-    iterative_optimum_threshold,
-    mean_threshold,
+    binarized_histogram,
+    select_iterative,
+    select_mean,
 )
 
 __all__ = ["main"]
@@ -95,19 +97,28 @@ def _suffixed(output: Path, tag: str) -> Path:
     return output.with_name(f"{name}.{tag}.pgm")
 
 
+def _reject_directory_targets(outputs: list[tuple[Path, bytes]]) -> None:
+    # os.replace onto a directory fails only after earlier outputs are in
+    # place, so refuse such a target before anything is written.
+    for path, _ in outputs:
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+
+
 def _stage_and_commit(outputs: list[tuple[Path, bytes]]) -> None:
     staged: list[tuple[Path, Path]] = []
     try:
         for path, payload in outputs:
             tmp = path.with_name(f".{path.name}.tmp-{os.getpid()}")
-            tmp.write_bytes(payload)
             staged.append((tmp, path))
+            tmp.write_bytes(payload)
+        for tmp, path in staged:
+            os.replace(tmp, path)
     except OSError:
+        # Temp files already renamed are gone; the rest must not be left behind.
         for tmp, _ in staged:
             tmp.unlink(missing_ok=True)
         raise
-    for tmp, path in staged:
-        os.replace(tmp, path)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -127,11 +138,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"bilevel: error: {args.input}: {exc}", file=sys.stderr)
         return EXIT_FORMAT
 
+    # The only pass that counts pixels: both selectors and both CSVs read it.
+    hist = build_histogram(image)
     results = {}
     if args.method in (METHOD_MEAN, METHOD_COMPARE):
-        results[METHOD_MEAN] = mean_threshold(image)
+        results[METHOD_MEAN] = select_mean(hist)
     if args.method in (METHOD_ITERATIVE, METHOD_COMPARE):
-        results[METHOD_ITERATIVE] = iterative_optimum_threshold(image)
+        results[METHOD_ITERATIVE] = select_iterative(hist)
     binaries = {name: binarize(image, res.optimum) for name, res in results.items()}
 
     flavor = "P2" if args.ascii else "P5"
@@ -151,9 +164,11 @@ def main(argv: list[str] | None = None) -> int:
         hist_output_path = hist_dir / f"{stem}.output.csv"
         # In compare mode the output histogram tracks the iterative result,
         # the run's refined threshold; the mean output is available via -m mean.
-        reported = binaries.get(METHOD_ITERATIVE, binaries.get(METHOD_MEAN))
-        outputs.append((hist_input_path, emit_histogram_csv(build_histogram(image))))
-        outputs.append((hist_output_path, emit_histogram_csv(build_histogram(reported))))
+        reported = results.get(METHOD_ITERATIVE, results.get(METHOD_MEAN))
+        outputs.append((hist_input_path, emit_histogram_csv(hist)))
+        outputs.append(
+            (hist_output_path, emit_histogram_csv(binarized_histogram(hist, reported.optimum)))
+        )
 
     if args.report:
         report = RunReport(
@@ -168,6 +183,7 @@ def main(argv: list[str] | None = None) -> int:
         outputs.append((Path(args.report), emit_report(report)))
 
     try:
+        _reject_directory_targets(outputs)
         if args.histograms:
             Path(args.histograms).mkdir(parents=True, exist_ok=True)
         _stage_and_commit(outputs)

@@ -25,6 +25,11 @@ __all__ = [
 
 BIN_COUNT = 256
 
+# Pixels per np.bincount call. bincount widens its input to intp, so one
+# call over a whole 4096x4096 image would allocate a 128 MiB temporary;
+# slices of this size keep that temporary at 512 KiB, inside the cache.
+_SLICE_PIXELS = 1 << 16
+
 
 class EmptyInputError(ValueError):
     """Raised when a mean is requested over zero pixels."""
@@ -66,7 +71,11 @@ class Histogram:
 
 def build_histogram(image: GrayImage | BinaryImage) -> Histogram:
     """Count the exact multiplicity of every intensity in the image."""
-    return Histogram(np.bincount(image.pixels.reshape(-1), minlength=BIN_COUNT))
+    flat = image.pixels.reshape(-1)
+    counts = np.zeros(BIN_COUNT, dtype=np.int64)
+    for start in range(0, flat.size, _SLICE_PIXELS):
+        counts += np.bincount(flat[start : start + _SLICE_PIXELS], minlength=BIN_COUNT)
+    return Histogram(counts)
 
 
 def global_mean(hist: Histogram) -> float:

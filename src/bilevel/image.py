@@ -93,6 +93,19 @@ class BinaryImage:
         """Build a binary image from a row-major flat sequence of 0/255 values."""
         return cls(_reshape_flat(width, height, values))
 
+    @classmethod
+    def _trusted(cls, pixels: np.ndarray) -> "BinaryImage":
+        """Wrap a fresh 2-D uint8 0/255 buffer that the library made itself.
+
+        Skips the validation passes of the public constructor, which stays
+        the only way in for buffers from outside. The caller hands over the
+        buffer: it is made read-only here and must not be kept writable.
+        """
+        pixels.setflags(write=False)
+        image = object.__new__(cls)
+        object.__setattr__(image, "pixels", pixels)
+        return image
+
     @property
     def width(self) -> int:
         return self.pixels.shape[1]

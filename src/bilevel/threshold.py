@@ -8,6 +8,11 @@ pixels above it) until it moves by less than one gray level; this is the
 classic iterative-selection scheme. ``fixed_point_oracle`` validates the
 latter by exhaustively scanning every integer split instead of iterating.
 
+Both selectors read only a :class:`Histogram`: ``select_mean`` and
+``select_iterative`` take one directly, so a caller that needs both counts
+the pixels once, and ``mean_threshold``/``iterative_optimum_threshold`` are
+wrappers that count them for a single image.
+
 A pixel equal to the threshold goes to the background class, so a
 real-valued threshold splits classes at ``floor(T)``: class one is
 ``[0, floor(T)]``, class two is ``[floor(T) + 1, 255]``. The iterative
@@ -15,6 +20,15 @@ procedure walks integer thresholds (each candidate is floored before its
 classes are formed), which pins every convergence point to within one gray
 level of an integer fixed point and keeps both classes non-empty for any
 image with two or more distinct intensities.
+
+Comparing against ``floor(T)`` instead of ``T`` is exact, not an
+approximation: pixels are integers, and for an integer ``p`` and a real
+``T``, ``p > T`` holds exactly when ``p > floor(T)`` (if
+``p >= floor(T) + 1`` then ``p > T``, because ``T < floor(T) + 1``; if
+``p <= floor(T)`` then ``p <= T``). So ``binarize`` compares uint8 pixels
+with the uint8 level ``floor(T)``, and ``binarized_histogram`` derives the
+output's two bins from the input counts: ``counts[0]`` is the number of
+pixels in ``[0, floor(T)]`` and ``counts[255]`` the rest.
 """
 
 from __future__ import annotations
@@ -24,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .histogram import Histogram, build_histogram, class_mean, global_mean
+from .histogram import BIN_COUNT, Histogram, build_histogram, class_mean, global_mean
 from .image import BinaryImage, GrayImage
 
 __all__ = [
@@ -33,6 +47,9 @@ __all__ = [
     "ThresholdResult",
     "ConvergenceError",
     "binarize",
+    "binarized_histogram",
+    "select_mean",
+    "select_iterative",
     "mean_threshold",
     "iterative_optimum_threshold",
     "fixed_point_oracle",
@@ -86,21 +103,40 @@ class ConvergenceError(RuntimeError):
         self.steps = tuple(steps)
 
 
-def binarize(image: GrayImage, threshold: float) -> BinaryImage:
-    """Map pixels above the threshold to 255 and all others to 0."""
+def _split_level(threshold: float) -> int:
+    """The highest intensity ``threshold`` sends to background: ``floor(T)``."""
     t = float(threshold)
     if not (0.0 <= t <= 255.0):
         raise ValueError(f"threshold must lie in [0, 255], got {threshold!r}")
-    return BinaryImage(np.where(image.pixels > t, 255, 0).astype(np.uint8))
+    return math.floor(t)
 
 
-def mean_threshold(image: GrayImage) -> ThresholdResult:
+def binarize(image: GrayImage, threshold: float) -> BinaryImage:
+    """Map pixels above the threshold to 255 and all others to 0."""
+    level = np.uint8(_split_level(threshold))
+    return BinaryImage._trusted(np.multiply(image.pixels > level, np.uint8(255), dtype=np.uint8))
+
+
+def binarized_histogram(hist: Histogram, threshold: float) -> Histogram:
+    """Histogram of ``binarize(image, threshold)``, where ``hist`` counts ``image``.
+
+    Equals ``build_histogram(binarize(image, threshold))`` without touching
+    a pixel: only bins 0 and 255 can be non-zero.
+    """
+    level = _split_level(threshold)
+    counts = np.zeros(BIN_COUNT, dtype=np.int64)
+    counts[0] = hist.counts[: level + 1].sum()
+    counts[255] = hist.total - counts[0]
+    return Histogram(counts)
+
+
+def select_mean(hist: Histogram) -> ThresholdResult:
     """Select the global intensity mean as the threshold.
 
     Pairing the result with :func:`binarize` sends every pixel at or below
     the mean to 0 and the rest to 255.
     """
-    mean = global_mean(build_histogram(image))
+    mean = global_mean(hist)
     return ThresholdResult(
         method=METHOD_MEAN,
         estimate=mean,
@@ -111,7 +147,7 @@ def mean_threshold(image: GrayImage) -> ThresholdResult:
     )
 
 
-def iterative_optimum_threshold(image: GrayImage) -> ThresholdResult:
+def select_iterative(hist: Histogram) -> ThresholdResult:
     """Refine the global mean by averaging the two class means to a fixed point.
 
     Starting from the global mean, each step splits the histogram at the
@@ -123,7 +159,6 @@ def iterative_optimum_threshold(image: GrayImage) -> ThresholdResult:
     degenerate at the current T. The full step trace is recorded on the
     result.
     """
-    hist = build_histogram(image)
     estimate = global_mean(hist)
     steps: list[IterationStep] = []
     # An integer threshold makes the stopping test |T - total_mean| < 1 a
@@ -158,6 +193,16 @@ def iterative_optimum_threshold(image: GrayImage) -> ThresholdResult:
     raise ConvergenceError(
         f"threshold did not settle within {ITERATION_CAP} iterations", tuple(steps)
     )
+
+
+def mean_threshold(image: GrayImage) -> ThresholdResult:
+    """:func:`select_mean` on the histogram of ``image``."""
+    return select_mean(build_histogram(image))
+
+
+def iterative_optimum_threshold(image: GrayImage) -> ThresholdResult:
+    """:func:`select_iterative` on the histogram of ``image``."""
+    return select_iterative(build_histogram(image))
 
 
 def fixed_point_oracle(hist: Histogram) -> set[int]:

@@ -1,8 +1,27 @@
 import json
+import os
+import sys
 from pathlib import Path
 
-from bilevel import GrayImage, load_pgm, save_pgm
-from helpers import run_cli
+import numpy as np
+
+import bilevel.cli
+import bilevel.histogram
+from bilevel import (
+    BinaryImage,
+    GrayImage,
+    Histogram,
+    RunReport,
+    emit_histogram_csv,
+    emit_report,
+    iterative_optimum_threshold,
+    load_pgm,
+    mean_threshold,
+    read_pgm,
+    save_pgm,
+    write_pgm,
+)
+from helpers import bimodal_gray_image, run_cli
 
 
 def make_pgm(directory: Path, name: str, width: int, height: int, values) -> Path:
@@ -143,6 +162,36 @@ class TestFailureModes:
         assert not report.exists()
         assert no_temp_files(tmp_path)
 
+    def test_directory_target_leaves_listing_unchanged(self, tmp_path):
+        inp = make_pgm(tmp_path, "in.pgm", 4, 1, [10, 20, 30, 40])
+        (tmp_path / "rep.json").mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        proc = run_cli(
+            ["-i", inp, "-o", tmp_path / "out.pgm", "-m", "mean", "--report", tmp_path / "rep.json"]
+        )
+        assert proc.returncode == 1
+        assert "rep.json" in proc.stderr
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_failed_rename_unlinks_every_temp_file(self, tmp_path, monkeypatch, capsys):
+        inp = make_pgm(tmp_path, "in.pgm", 4, 1, [10, 20, 30, 40])
+        args = ["-i", str(inp), "-o", str(tmp_path / "out.pgm"), "-m", "mean",
+                "--report", str(tmp_path / "r.json"), "--histograms", str(tmp_path / "h")]
+        real_replace = os.replace
+        for fail_at in range(4):  # the run commits four files
+            renames = []
+
+            def replace(src, dst):
+                renames.append(dst)
+                if len(renames) > fail_at:
+                    raise OSError("injected rename failure")
+                real_replace(src, dst)
+
+            monkeypatch.setattr(bilevel.cli.os, "replace", replace)
+            assert bilevel.cli.main(args) == 1
+            assert "injected rename failure" in capsys.readouterr().err
+            assert no_temp_files(tmp_path)
+
 
 class TestDeterminism:
     def test_reruns_are_byte_identical(self, tmp_path):
@@ -164,3 +213,87 @@ class TestDeterminism:
             if p.is_file() and p != inp
         }
         assert first and first == second
+
+
+def count_calls(monkeypatch, owner, name: str) -> list:
+    """Count calls to ``owner.name``, rebinding it in every bilevel module that imported it."""
+    original = getattr(owner, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name == "bilevel" or mod_name.startswith("bilevel."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+class TestOnePixelPass:
+    def reference_outputs(self, inp: Path, out_dir: Path) -> dict:
+        """The compare run's files, each computed straight from the pixels."""
+        image = read_pgm(inp.read_bytes())
+        flat = image.pixels.reshape(-1)
+        mean, iterative = mean_threshold(image), iterative_optimum_threshold(image)
+
+        def binary(t):
+            return BinaryImage(np.where(image.pixels > t, 255, 0).astype(np.uint8))
+
+        iter_binary = binary(iterative.optimum)
+        hist_dir = out_dir / "h"
+        report = RunReport(
+            input_path=str(inp),
+            width=image.width,
+            height=image.height,
+            mean_result=mean,
+            iterative_result=iterative,
+            histogram_input_path=str(hist_dir / "scan.input.csv"),
+            histogram_output_path=str(hist_dir / "scan.output.csv"),
+        )
+        return {
+            out_dir / "out.mean.pgm": write_pgm(binary(mean.optimum), "P5"),
+            out_dir / "out.iter.pgm": write_pgm(iter_binary, "P5"),
+            hist_dir / "scan.input.csv": emit_histogram_csv(
+                Histogram(np.bincount(flat, minlength=256))
+            ),
+            hist_dir / "scan.output.csv": emit_histogram_csv(
+                Histogram(np.bincount(iter_binary.pixels.reshape(-1), minlength=256))
+            ),
+            out_dir / "r.json": emit_report(report),
+        }
+
+    def test_compare_run_counts_pixels_once_and_validates_no_binary(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        rng = np.random.default_rng(61)
+        tile = bimodal_gray_image(rng, max_side=8).pixels
+        height, width = tile.shape
+        # Over 300 x 300 pixels, so build_histogram takes more than one slice.
+        image = GrayImage(np.tile(tile, (300 // height + 1, 300 // width + 1)))
+        inp = tmp_path / "scan.pgm"
+        save_pgm(inp, image)
+        out_dir = tmp_path / "out"
+        expected = self.reference_outputs(inp, out_dir)
+
+        histograms = count_calls(monkeypatch, bilevel.histogram, "build_histogram")
+        validations = count_calls(monkeypatch, BinaryImage, "__post_init__")
+        bilevel.cli.build_histogram(image)
+        BinaryImage.from_flat(1, 1, [0])
+        assert (len(histograms), len(validations)) == (1, 1)  # the counters see calls
+        histograms.clear()
+        validations.clear()
+
+        argv = ["-i", str(inp), "-o", str(out_dir / "out.pgm"), "-m", "compare",
+                "--report", str(out_dir / "r.json"), "--histograms", str(out_dir / "h")]
+        out_dir.mkdir()
+        assert bilevel.cli.main(argv) == 0
+        assert len(histograms) == 1
+        assert len(validations) == 0
+        written = {p: p.read_bytes() for p in out_dir.rglob("*") if p.is_file()}
+        assert written == expected
+        summary = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in summary] == ["mean", "iterative"]

@@ -46,6 +46,15 @@ class TestBuildHistogram:
         for value in range(256):
             assert hist.counts[value] == flat.count(value)
 
+    # build_histogram counts in slices of 65536 pixels: one short of, exactly
+    # and one past a slice, and several slices with a partial last one.
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 65535), (256, 256), (1, 65537), (517, 389)])
+    def test_sliced_counts_equal_one_bincount(self, shape):
+        rng = np.random.default_rng(shape[1])
+        pixels = rng.integers(0, 256, size=shape, dtype=np.uint8)
+        expected = np.bincount(pixels.reshape(-1), minlength=256)
+        assert np.array_equal(build_histogram(GrayImage(pixels)).counts, expected)
+
 
 class TestHistogramType:
     def test_needs_256_bins(self):

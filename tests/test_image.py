@@ -67,6 +67,14 @@ def test_binary_image_levels_enforced():
         BinaryImage.from_flat(2, 1, [0, 254])
 
 
+@pytest.mark.parametrize("level", [1, 128])
+def test_public_binary_constructors_reject_other_levels(level):
+    with pytest.raises(ValueError, match="only 0 and 255"):
+        BinaryImage(np.array([[0, 255], [level, 0]], dtype=np.uint8))
+    with pytest.raises(ValueError, match="only 0 and 255"):
+        BinaryImage.from_flat(3, 1, [255, level, 0])
+
+
 def test_binary_to_gray_keeps_values():
     binary = BinaryImage.from_flat(2, 2, [0, 255, 255, 0])
     gray = binary.to_gray()

@@ -4,13 +4,17 @@ import numpy as np
 import pytest
 
 from bilevel import (
+    BinaryImage,
     GrayImage,
     Histogram,
     binarize,
+    binarized_histogram,
     build_histogram,
     fixed_point_oracle,
     iterative_optimum_threshold,
     mean_threshold,
+    select_iterative,
+    select_mean,
 )
 from helpers import bimodal_gray_image, naive_fixed_points, random_gray_image
 
@@ -48,6 +52,42 @@ class TestBinarize:
         img = image_of([0, 255])
         assert binarize(img, 0).pixels.tolist() == [[0, 255]]
         assert binarize(img, 255).pixels.tolist() == [[0, 0]]
+
+    @pytest.mark.parametrize(
+        "t", [0.0, 255.0, 0, 255, 93, 93.0, math.nextafter(93.0, 0.0), 127.5, 0.001, 254.999]
+    )
+    def test_matches_float_comparison_reference(self, t):
+        rng = np.random.default_rng(62)
+        pixels = np.concatenate([np.arange(256), rng.integers(0, 256, 744)]).astype(np.uint8)
+        img = GrayImage(pixels.reshape(40, 25))
+        out = binarize(img, t)
+        assert isinstance(out, BinaryImage)
+        assert out.pixels.dtype == np.uint8 and not out.pixels.flags.writeable
+        assert np.array_equal(out.pixels, np.where(img.pixels > t, 255, 0))
+
+
+class TestBinarizedHistogram:
+    def test_equals_histogram_of_binarized_image(self):
+        rng = np.random.default_rng(64)
+        for _ in range(200):
+            img = random_gray_image(rng, max_side=16)
+            for t in (0, 255, 0.0, 255.0, float(rng.uniform(0, 255)), int(rng.integers(0, 256))):
+                expected = build_histogram(binarize(img, t))
+                assert binarized_histogram(build_histogram(img), t) == expected
+
+    @pytest.mark.parametrize("value", [0, 7, 128, 255])
+    def test_constant_images(self, value):
+        # A constant image is the degenerate case: the iterative optimum is
+        # the constant itself, so t == value is the threshold the CLI uses.
+        img = GrayImage.from_flat(3, 3, [value] * 9)
+        hist = build_histogram(img)
+        for t in (0, 0.5, max(value - 0.5, 0), value, 254.999, 255):
+            assert binarized_histogram(hist, t) == build_histogram(binarize(img, t))
+
+    @pytest.mark.parametrize("t", [-0.001, 255.5, float("nan")])
+    def test_out_of_range_threshold_rejected(self, t):
+        with pytest.raises(ValueError, match="threshold"):
+            binarized_histogram(build_histogram(image_of([0])), t)
 
 
 class TestMeanThreshold:
@@ -189,6 +229,15 @@ class TestFixedPointOracle:
     def test_empty_histogram_has_no_fixed_point(self):
         assert fixed_point_oracle(Histogram(np.zeros(256, dtype=np.int64))) == set()
 
+    def test_shares_no_code_with_the_selectors(self):
+        # Acceptance criterion 1 checks the selector against this oracle, so
+        # the oracle must keep its own prefix sums and call none of them.
+        selector_code = {
+            "select_iterative", "select_mean", "iterative_optimum_threshold", "mean_threshold",
+            "class_mean", "global_mean", "binarized_histogram", "_split_level",
+        }
+        assert selector_code.isdisjoint(fixed_point_oracle.__code__.co_names)
+
     def test_matches_naive_scan(self):
         rng = np.random.default_rng(52)
         for _ in range(60):
@@ -214,6 +263,14 @@ class TestThresholdProperties:
             optimum = iterative_optimum_threshold(img).optimum
             oracle = fixed_point_oracle(build_histogram(img))
             assert min(abs(optimum - t) for t in oracle) <= 1.0
+
+    def test_histogram_selectors_match_image_wrappers(self):
+        rng = np.random.default_rng(65)
+        for _ in range(50):
+            img = bimodal_gray_image(rng, max_side=24)
+            hist = build_histogram(img)
+            assert select_mean(hist) == mean_threshold(img)
+            assert select_iterative(hist) == iterative_optimum_threshold(img)
 
     def test_output_alphabet(self):
         rng = np.random.default_rng(55)
