@@ -29,8 +29,6 @@ from .pgm import (
 )
 from .report import RunReport, emit_histogram_csv, emit_report, round_half_up
 from .threshold import (
-    ITERATION_CAP,
-    ConvergenceError,
     IterationStep,
     ThresholdResult,
     binarize,
@@ -46,11 +44,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BinaryImage",
-    "ConvergenceError",
     "EmptyInputError",
     "GrayImage",
     "Histogram",
-    "ITERATION_CAP",
     "IterationStep",
     "PgmError",
     "PgmFormatError",

@@ -105,6 +105,22 @@ def _reject_directory_targets(outputs: list[tuple[Path, bytes]]) -> None:
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
 
 
+def _reject_colliding_targets(parser: argparse.ArgumentParser, paths: list[Path]) -> None:
+    # Two payloads for one directory entry would be staged to one temp name,
+    # and the second rename would fail after the first had put a wrong file
+    # in place. Entries collide only when their names match, so the usual
+    # run, with distinct names, skips resolve() and its lstat per component.
+    names = [path.name for path in paths]
+    if len(set(names)) == len(names):
+        return
+    seen = set()
+    for path in paths:
+        entry = (path.parent.resolve(), path.name)
+        if entry in seen:
+            parser.error(f"two outputs would be written to {path}")
+        seen.add(entry)
+
+
 def _stage_and_commit(outputs: list[tuple[Path, bytes]]) -> None:
     staged: list[tuple[Path, Path]] = []
     try:
@@ -127,6 +143,24 @@ def main(argv: list[str] | None = None) -> int:
     if args.method == METHOD_COMPARE and not args.report:
         parser.error("--method compare requires --report")
 
+    output = Path(args.output)
+    if args.method == METHOD_COMPARE:
+        image_paths = {
+            METHOD_MEAN: _suffixed(output, "mean"),
+            METHOD_ITERATIVE: _suffixed(output, "iter"),
+        }
+    else:
+        image_paths = {args.method: output}
+    hist_input_path = hist_output_path = None
+    if args.histograms:
+        hist_dir = Path(args.histograms)
+        stem = Path(args.input).stem
+        hist_input_path = hist_dir / f"{stem}.input.csv"
+        hist_output_path = hist_dir / f"{stem}.output.csv"
+    report_path = Path(args.report) if args.report else None
+    targets = [*image_paths.values(), hist_input_path, hist_output_path, report_path]
+    _reject_colliding_targets(parser, [path for path in targets if path is not None])
+
     try:
         data = Path(args.input).read_bytes()
     except OSError as exc:
@@ -145,23 +179,13 @@ def main(argv: list[str] | None = None) -> int:
         results[METHOD_MEAN] = select_mean(hist)
     if args.method in (METHOD_ITERATIVE, METHOD_COMPARE):
         results[METHOD_ITERATIVE] = select_iterative(hist)
-    binaries = {name: binarize(image, res.optimum) for name, res in results.items()}
 
     flavor = "P2" if args.ascii else "P5"
-    output = Path(args.output)
-    outputs: list[tuple[Path, bytes]] = []
-    if args.method == METHOD_COMPARE:
-        outputs.append((_suffixed(output, "mean"), write_pgm(binaries[METHOD_MEAN], flavor)))
-        outputs.append((_suffixed(output, "iter"), write_pgm(binaries[METHOD_ITERATIVE], flavor)))
-    else:
-        outputs.append((output, write_pgm(binaries[args.method], flavor)))
-
-    hist_input_path = hist_output_path = None
+    outputs = [
+        (path, write_pgm(binarize(image, results[name].optimum), flavor))
+        for name, path in image_paths.items()
+    ]
     if args.histograms:
-        hist_dir = Path(args.histograms)
-        stem = Path(args.input).stem
-        hist_input_path = hist_dir / f"{stem}.input.csv"
-        hist_output_path = hist_dir / f"{stem}.output.csv"
         # In compare mode the output histogram tracks the iterative result,
         # the run's refined threshold; the mean output is available via -m mean.
         reported = results.get(METHOD_ITERATIVE, results.get(METHOD_MEAN))
@@ -170,7 +194,7 @@ def main(argv: list[str] | None = None) -> int:
             (hist_output_path, emit_histogram_csv(binarized_histogram(hist, reported.optimum)))
         )
 
-    if args.report:
+    if report_path:
         report = RunReport(
             input_path=args.input,
             width=image.width,
@@ -180,7 +204,7 @@ def main(argv: list[str] | None = None) -> int:
             histogram_input_path=str(hist_input_path) if hist_input_path else None,
             histogram_output_path=str(hist_output_path) if hist_output_path else None,
         )
-        outputs.append((Path(args.report), emit_report(report)))
+        outputs.append((report_path, emit_report(report)))
 
     try:
         _reject_directory_targets(outputs)

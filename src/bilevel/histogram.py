@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image import BinaryImage, GrayImage
+from .image import BinaryImage, GrayImage, _frozen
 
 __all__ = [
     "Histogram",
@@ -49,11 +49,7 @@ class Histogram:
             raise ValueError(f"bin counts must be integers, got dtype {arr.dtype}")
         if arr.size and int(arr.min()) < 0:
             raise ValueError("bin counts must be non-negative")
-        out = np.ascontiguousarray(arr, dtype=np.int64)
-        if out is arr and arr.flags.writeable:
-            out = arr.copy()
-        out.setflags(write=False)
-        object.__setattr__(self, "counts", out)
+        object.__setattr__(self, "counts", _frozen(arr, np.int64))
 
     @property
     def total(self) -> int:

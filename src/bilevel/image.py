@@ -17,6 +17,15 @@ __all__ = ["GrayImage", "BinaryImage"]
 BINARY_LEVELS = (0, 255)
 
 
+def _frozen(arr: np.ndarray, dtype) -> np.ndarray:
+    """``arr`` as a contiguous read-only ``dtype`` array, copied if it aliases a writable buffer."""
+    out = np.ascontiguousarray(arr, dtype=dtype)
+    if out is arr and arr.flags.writeable:
+        out = arr.copy()
+    out.setflags(write=False)
+    return out
+
+
 def _validated_pixels(pixels, binary: bool) -> np.ndarray:
     arr = np.asarray(pixels)
     if arr.ndim != 2:
@@ -32,35 +41,28 @@ def _validated_pixels(pixels, binary: bool) -> np.ndarray:
     if binary and not np.isin(arr, BINARY_LEVELS).all():
         bad = int(arr[~np.isin(arr, BINARY_LEVELS)][0])
         raise ValueError(f"binary image may contain only 0 and 255, found {bad}")
-    out = np.ascontiguousarray(arr, dtype=np.uint8)
-    if out is arr and arr.flags.writeable:
-        out = arr.copy()  # never alias a caller-writable buffer
-    out.setflags(write=False)
-    return out
-
-
-def _reshape_flat(width: int, height: int, values: Sequence[int]) -> np.ndarray:
-    arr = np.asarray(values)
-    if arr.ndim != 1 or arr.size != width * height:
-        raise ValueError(
-            f"pixels length must equal width x height = {width * height}, got {arr.size}"
-        )
-    return arr.reshape(height, width)
+    return _frozen(arr, np.uint8)
 
 
 @dataclass(frozen=True, eq=False)
-class GrayImage:
-    """A width x height grid of 8-bit intensity values."""
+class _Image:
+    """The body both image types share: a validated, read-only uint8 pixel buffer."""
 
     pixels: np.ndarray
+    _binary = False  # whether __post_init__ admits only the two binary levels
 
     def __post_init__(self):
-        object.__setattr__(self, "pixels", _validated_pixels(self.pixels, binary=False))
+        object.__setattr__(self, "pixels", _validated_pixels(self.pixels, self._binary))
 
     @classmethod
-    def from_flat(cls, width: int, height: int, values: Sequence[int]) -> "GrayImage":
-        """Build an image from a row-major flat sequence of intensities."""
-        return cls(_reshape_flat(width, height, values))
+    def from_flat(cls, width: int, height: int, values: Sequence[int]):
+        """Build an image from a row-major flat sequence of ``width * height`` pixel values."""
+        arr = np.asarray(values)
+        if arr.ndim != 1 or arr.size != width * height:
+            raise ValueError(
+                f"pixels length must equal width x height = {width * height}, got {arr.size}"
+            )
+        return cls(arr.reshape(height, width))
 
     @property
     def width(self) -> int:
@@ -76,22 +78,17 @@ class GrayImage:
         return np.array_equal(self.pixels, other.pixels)
 
     def __repr__(self) -> str:
-        return f"GrayImage(width={self.width}, height={self.height})"
+        return f"{type(self).__name__}(width={self.width}, height={self.height})"
 
 
-@dataclass(frozen=True, eq=False)
-class BinaryImage:
+class GrayImage(_Image):
+    """A width x height grid of 8-bit intensity values."""
+
+
+class BinaryImage(_Image):
     """A width x height grid whose pixels are exactly 0 (background) or 255 (foreground)."""
 
-    pixels: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "pixels", _validated_pixels(self.pixels, binary=True))
-
-    @classmethod
-    def from_flat(cls, width: int, height: int, values: Sequence[int]) -> "BinaryImage":
-        """Build a binary image from a row-major flat sequence of 0/255 values."""
-        return cls(_reshape_flat(width, height, values))
+    _binary = True
 
     @classmethod
     def _trusted(cls, pixels: np.ndarray) -> "BinaryImage":
@@ -106,22 +103,6 @@ class BinaryImage:
         object.__setattr__(image, "pixels", pixels)
         return image
 
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
     def to_gray(self) -> GrayImage:
         """View the two-level buffer as an ordinary grayscale image."""
         return GrayImage(self.pixels)
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return np.array_equal(self.pixels, other.pixels)
-
-    def __repr__(self) -> str:
-        return f"BinaryImage(width={self.width}, height={self.height})"

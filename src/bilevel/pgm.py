@@ -149,7 +149,11 @@ def _parse_plain_samples(text: bytes, width: int, height: int) -> np.ndarray:
     for token in tokens:
         if not token.isdigit():
             raise PgmFormatError(f"invalid sample token {token.decode('ascii', 'replace')!r}")
-    samples = np.array([int(t) for t in tokens], dtype=np.int64)
+    try:
+        samples = np.array([int(t) for t in tokens], dtype=np.int64)
+    except OverflowError:  # a sample beyond int64 is out of range as well
+        bad = next(int(t) for t in tokens if int(t) > MAXVAL)
+        raise SampleRangeError(f"sample value {bad} exceeds maxval {MAXVAL}") from None
     if samples.max() > MAXVAL:
         bad = int(samples[samples > MAXVAL][0])
         raise SampleRangeError(f"sample value {bad} exceeds maxval {MAXVAL}")

@@ -41,7 +41,6 @@ class RunReport:
     iterative_result: ThresholdResult | None = None
     histogram_input_path: str | None = None
     histogram_output_path: str | None = None
-    estimate_source: str = ESTIMATE_SOURCE
 
     def __post_init__(self):
         if self.mean_result is None and self.iterative_result is None:
@@ -79,7 +78,7 @@ def emit_report(report: RunReport) -> bytes:
         "input": report.input_path,
         "width": report.width,
         "height": report.height,
-        "estimate_source": report.estimate_source,
+        "estimate_source": ESTIMATE_SOURCE,
         "methods": methods,
         "histograms": {
             "input": report.histogram_input_path,

@@ -18,8 +18,7 @@ real-valued threshold splits classes at ``floor(T)``: class one is
 ``[0, floor(T)]``, class two is ``[floor(T) + 1, 255]``. The iterative
 procedure walks integer thresholds (each candidate is floored before its
 classes are formed), which pins every convergence point to within one gray
-level of an integer fixed point and keeps both classes non-empty for any
-image with two or more distinct intensities.
+level of an integer fixed point (``select_iterative`` proves the walk ends).
 
 Comparing against ``floor(T)`` instead of ``T`` is exact, not an
 approximation: pixels are integers, and for an integer ``p`` and a real
@@ -42,10 +41,8 @@ from .histogram import BIN_COUNT, Histogram, build_histogram, class_mean, global
 from .image import BinaryImage, GrayImage
 
 __all__ = [
-    "ITERATION_CAP",
     "IterationStep",
     "ThresholdResult",
-    "ConvergenceError",
     "binarize",
     "binarized_histogram",
     "select_mean",
@@ -57,10 +54,6 @@ __all__ = [
 
 METHOD_MEAN = "mean"
 METHOD_ITERATIVE = "iterative"
-
-# Each step's class split is determined by floor(T), so at most 256 distinct
-# partitions exist and the procedure settles long before this cap.
-ITERATION_CAP = 256
 
 
 @dataclass(frozen=True)
@@ -83,8 +76,8 @@ class ThresholdResult:
     """Outcome of one selection procedure.
 
     ``estimate`` is the starting threshold (the global mean for both
-    methods), ``optimum`` the selected one. ``degenerate`` marks runs cut
-    short by an empty class, e.g. on a constant image.
+    methods), ``optimum`` the selected one. A run that is not ``converged``
+    was cut short by an empty class, which happens only on a constant image.
     """
 
     method: str
@@ -92,15 +85,11 @@ class ThresholdResult:
     optimum: float
     iterations: tuple[IterationStep, ...]
     converged: bool
-    degenerate: bool
 
-
-class ConvergenceError(RuntimeError):
-    """Iteration cap exceeded; carries the recorded trace for diagnosis."""
-
-    def __init__(self, message: str, steps: tuple[IterationStep, ...]):
-        super().__init__(message)
-        self.steps = tuple(steps)
+    @property
+    def degenerate(self) -> bool:
+        """True when an empty class stopped the run: always ``not converged``."""
+        return not self.converged
 
 
 def _split_level(threshold: float) -> int:
@@ -143,7 +132,6 @@ def select_mean(hist: Histogram) -> ThresholdResult:
         optimum=mean,
         iterations=(),
         converged=True,
-        degenerate=False,
     )
 
 
@@ -158,6 +146,18 @@ def select_iterative(hist: Histogram) -> ThresholdResult:
     real-valued average. If either class is empty the run terminates
     degenerate at the current T. The full step trace is recorded on the
     result.
+
+    The walk always ends (Ridler & Calvard, IEEE Trans. SMC-8(8):630-632,
+    1978). Raising T moves bin ``T + 1`` from the bottom of class two to the
+    top of class one, so m1(T), m2(T) and hence ``floor(g(T))`` with
+    ``g = (m1 + m2) / 2`` never decrease as T grows (rounding is monotone,
+    so this holds in floating point too). Each step applies that one map to
+    the last T, so the thresholds move one way only, and a step that does
+    not stop moves T by at least one level. With two or more distinct
+    values T starts at ``floor(mean)`` in ``[min, max - 1]``, and
+    ``min <= m1 <= T < m2 <= max`` keeps every later T there: both classes
+    stay non-empty and the walk stops within 255 steps. A constant image
+    stops at the first step, with class two empty.
     """
     estimate = global_mean(hist)
     steps: list[IterationStep] = []
@@ -165,34 +165,22 @@ def select_iterative(hist: Histogram) -> ThresholdResult:
     # certificate that T is one of the fixed points fixed_point_oracle
     # reports, so the two routes can never drift apart.
     current = math.floor(estimate)
-    for _ in range(ITERATION_CAP):
+    for _ in range(BIN_COUNT):
         m1 = class_mean(hist, 0, current)
         m2 = class_mean(hist, current + 1, 255) if current < 255 else None
         if m1 is None or m2 is None:
             steps.append(IterationStep(float(current), m1, m2, None))
-            return ThresholdResult(
-                method=METHOD_ITERATIVE,
-                estimate=estimate,
-                optimum=float(current),
-                iterations=tuple(steps),
-                converged=False,
-                degenerate=True,
-            )
+            optimum, converged = float(current), False
+            break
         total_mean = (m1 + m2) / 2.0
         steps.append(IterationStep(float(current), m1, m2, total_mean))
         if abs(current - total_mean) < 1.0:
-            return ThresholdResult(
-                method=METHOD_ITERATIVE,
-                estimate=estimate,
-                optimum=total_mean,
-                iterations=tuple(steps),
-                converged=True,
-                degenerate=False,
-            )
+            optimum, converged = total_mean, True
+            break
         current = math.floor(total_mean)
-    raise ConvergenceError(
-        f"threshold did not settle within {ITERATION_CAP} iterations", tuple(steps)
-    )
+    else:
+        raise AssertionError("iterative selection outran its 255-step bound")
+    return ThresholdResult(METHOD_ITERATIVE, estimate, optimum, tuple(steps), converged)
 
 
 def mean_threshold(image: GrayImage) -> ThresholdResult:

@@ -4,6 +4,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import bilevel.cli
 import bilevel.histogram
@@ -171,6 +172,23 @@ class TestFailureModes:
         )
         assert proc.returncode == 1
         assert "rep.json" in proc.stderr
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize(
+        "method,report",
+        [("mean", "out.pgm"), ("compare", "out.iter.pgm"), ("mean", "h/in.input.csv"),
+         ("mean", "alias/out.pgm")],
+    )
+    def test_colliding_targets_exit_3_and_leave_listing_unchanged(self, tmp_path, method, report):
+        inp = make_pgm(tmp_path, "in.pgm", 4, 1, [10, 20, 30, 40])
+        (tmp_path / "alias").symlink_to(tmp_path, target_is_directory=True)
+        before = sorted(tmp_path.rglob("*"))
+        proc = run_cli(
+            ["-i", inp, "-o", tmp_path / "out.pgm", "-m", method,
+             "--report", tmp_path / report, "--histograms", tmp_path / "h"]
+        )
+        assert proc.returncode == 3
+        assert str(tmp_path / report) in proc.stderr
         assert sorted(tmp_path.rglob("*")) == before
 
     def test_failed_rename_unlinks_every_temp_file(self, tmp_path, monkeypatch, capsys):

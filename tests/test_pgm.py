@@ -71,9 +71,10 @@ class TestReadPgmRejections:
         with pytest.raises(TruncatedDataError):
             read_pgm(b"P5\n2 2\n255\n")
 
-    def test_plain_sample_above_maxval(self):
-        with pytest.raises(SampleRangeError, match="256"):
-            read_pgm(b"P2\n2 1\n255\n0 256\n")
+    @pytest.mark.parametrize("sample", ["256", "99999999999999999999"])
+    def test_plain_sample_above_maxval(self, sample):
+        with pytest.raises(SampleRangeError, match=sample):
+            read_pgm(f"P2\n2 1\n255\n0 {sample}\n".encode())
 
     def test_plain_negative_sample_is_malformed(self):
         with pytest.raises(PgmFormatError):
@@ -111,6 +112,7 @@ class TestReadPgmRejections:
             b"P2\n1 1\n254\n0\n",
             b"P2\n2 2\n255\n0 0 0\n",
             b"P2\n1 1\n255\n999\n",
+            b"P2\n2 1\n255\n1 99999999999999999999\n",
         ]
         for data in corpus:
             with pytest.raises(PgmError):

@@ -33,10 +33,6 @@ class TestRunReport:
         with pytest.raises(ValueError, match="at least one"):
             RunReport(input_path="x.pgm", width=1, height=1)
 
-    def test_estimate_source_is_fixed_tag(self):
-        report = RunReport("x.pgm", 4, 1, mean_result=mean_threshold(image_of([1, 2, 3, 4])))
-        assert report.estimate_source == "global_mean"
-
 
 class TestEmitReport:
     def test_mean_only_run(self):
