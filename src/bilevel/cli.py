@@ -9,7 +9,9 @@ after all payloads are staged.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
+import itertools
 import os
 import sys
 from pathlib import Path
@@ -105,20 +107,25 @@ def _reject_directory_targets(outputs: list[tuple[Path, bytes]]) -> None:
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
 
 
-def _reject_colliding_targets(parser: argparse.ArgumentParser, paths: list[Path]) -> None:
+def _reject_colliding_targets(
+    parser: argparse.ArgumentParser, source: Path, paths: list[Path]
+) -> None:
     # Two payloads for one directory entry would be staged to one temp name,
     # and the second rename would fail after the first had put a wrong file
-    # in place. Entries collide only when their names match, so the usual
-    # run, with distinct names, skips resolve() and its lstat per component.
-    names = [path.name for path in paths]
-    if len(set(names)) == len(names):
-        return
-    seen = set()
-    for path in paths:
+    # in place; a payload renamed onto the input's entry would replace the
+    # input. Entries collide only when their names match, so a path with a
+    # unique name skips resolve() and its lstat per component.
+    names = [path.name for path in (source, *paths)]
+    claimed: dict[tuple[Path, str], Path] = {}
+    for path in (source, *paths):
+        if names.count(path.name) == 1:
+            continue
         entry = (path.parent.resolve(), path.name)
-        if entry in seen:
+        if entry in claimed:
+            if claimed[entry] is source:
+                parser.error(f"output {path} would overwrite the input")
             parser.error(f"two outputs would be written to {path}")
-        seen.add(entry)
+        claimed[entry] = path
 
 
 def _stage_and_commit(outputs: list[tuple[Path, bytes]]) -> None:
@@ -159,7 +166,9 @@ def main(argv: list[str] | None = None) -> int:
         hist_output_path = hist_dir / f"{stem}.output.csv"
     report_path = Path(args.report) if args.report else None
     targets = [*image_paths.values(), hist_input_path, hist_output_path, report_path]
-    _reject_colliding_targets(parser, [path for path in targets if path is not None])
+    _reject_colliding_targets(
+        parser, Path(args.input), [path for path in targets if path is not None]
+    )
 
     try:
         data = Path(args.input).read_bytes()
@@ -206,12 +215,19 @@ def main(argv: list[str] | None = None) -> int:
         )
         outputs.append((report_path, emit_report(report)))
 
+    new_dirs: list[Path] = []  # what mkdir is about to create, deepest first
     try:
         _reject_directory_targets(outputs)
         if args.histograms:
-            Path(args.histograms).mkdir(parents=True, exist_ok=True)
+            new_dirs = list(
+                itertools.takewhile(lambda d: not d.exists(), (hist_dir, *hist_dir.parents))
+            )
+            hist_dir.mkdir(parents=True, exist_ok=True)
         _stage_and_commit(outputs)
     except OSError as exc:
+        for directory in new_dirs:  # one still holding a file stays, as do its parents
+            with contextlib.suppress(OSError):
+                directory.rmdir()
         print(f"bilevel: error: cannot write outputs: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -11,6 +11,14 @@ separated by whitespace, with ``#`` comments allowed between tokens. A P5
 raster starts one byte after the maxval token; a P2 raster is a run of
 whitespace-separated decimal samples, one image row per line when written
 by this module.
+
+A P2 raster, once its ``#`` comments are stripped, is checked in a fixed
+order, and the first failing check names the error: the sample count
+(:class:`TruncatedDataError` or surplus data), then the character set
+(only ASCII digits and whitespace; the first other token is quoted), then
+the range (the first sample above 255 is quoted as written, however many
+digits it has). Each check is whole-buffer work in C or numpy; only a
+failing check goes back over the tokens to find the one it names.
 """
 
 from __future__ import annotations
@@ -38,7 +46,23 @@ MAXVAL = 255
 FLAVORS = ("P2", "P5")
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
+_DIGITS = b"0123456789"
 _HASH = 0x23  # '#'
+_NEWLINE = 0x0A
+
+# bytes.translate table: 1 for every byte that is not whitespace, else 0.
+_NONSPACE_TABLE = bytes(int(byte not in _WHITESPACE) for byte in range(256))
+
+# P2 encoder tables, one entry per sample value: the token b"%d " padded to
+# four bytes, its length, and the mask of its first `length` bytes. Token
+# and mask are stored as one uint32 word each so a pixel gathers each in
+# one step; viewing the gathered words as bytes gives 4 per pixel.
+_TOKENS = [b"%d " % value for value in range(256)]
+_TOKEN_LENGTHS = np.frombuffer(bytes(map(len, _TOKENS)), dtype=np.uint8)
+_TOKEN_WORDS = np.frombuffer(b"".join(t.ljust(4, b"\0") for t in _TOKENS), dtype=np.uint32)
+_TOKEN_MASKS = np.frombuffer(
+    b"".join((b"\1" * len(t)).ljust(4, b"\0") for t in _TOKENS), dtype=np.uint32
+)
 
 
 class PgmError(ValueError):
@@ -137,27 +161,37 @@ def read_pgm(data: bytes) -> GrayImage:
     return GrayImage(_parse_plain_samples(data[pos:], width, height))
 
 
+def _count_tokens(text: bytes) -> int:
+    """``len(text.split())`` without making one bytes object per token.
+
+    The raster opens with the byte that ended the maxval token, whitespace
+    or a comment stripped to a newline, so every token starts at a
+    non-space byte that follows a space.
+    """
+    nonspace = np.frombuffer(text.translate(_NONSPACE_TABLE), dtype=np.bool_)
+    return int(np.count_nonzero(nonspace[1:] > nonspace[:-1]))
+
+
 def _parse_plain_samples(text: bytes, width: int, height: int) -> np.ndarray:
     if _HASH in text:
         text = b"\n".join(line.split(b"#", 1)[0] for line in text.splitlines())
-    tokens = text.split()
+    found = _count_tokens(text)
     expected = width * height
-    if len(tokens) < expected:
-        raise TruncatedDataError(expected, len(tokens))
-    if len(tokens) > expected:
-        raise PgmFormatError(f"surplus raster data: expected {expected} samples, found {len(tokens)}")
-    for token in tokens:
-        if not token.isdigit():
-            raise PgmFormatError(f"invalid sample token {token.decode('ascii', 'replace')!r}")
-    try:
-        samples = np.array([int(t) for t in tokens], dtype=np.int64)
-    except OverflowError:  # a sample beyond int64 is out of range as well
-        bad = next(int(t) for t in tokens if int(t) > MAXVAL)
-        raise SampleRangeError(f"sample value {bad} exceeds maxval {MAXVAL}") from None
+    if found < expected:
+        raise TruncatedDataError(expected, found)
+    if found > expected:
+        raise PgmFormatError(f"surplus raster data: expected {expected} samples, found {found}")
+    if text.translate(None, _DIGITS + _WHITESPACE):
+        bad = next(token for token in text.split() if not token.isdigit())
+        raise PgmFormatError(f"invalid sample token {bad.decode('ascii', 'replace')!r}")
+    # Only digits and whitespace remain, which text-mode fromstring parses
+    # exactly; a token beyond int64 saturates and fails the range check.
+    samples = np.fromstring(text, dtype=np.int64, sep=" ")
     if samples.max() > MAXVAL:
-        bad = int(samples[samples > MAXVAL][0])
+        index = int(np.argmax(samples > MAXVAL))
+        bad = int(text.split()[index])
         raise SampleRangeError(f"sample value {bad} exceeds maxval {MAXVAL}")
-    return samples.reshape(height, width)
+    return samples.astype(np.uint8).reshape(height, width)
 
 
 def write_pgm(image: GrayImage | BinaryImage, flavor: str = "P5") -> bytes:
@@ -171,8 +205,11 @@ def write_pgm(image: GrayImage | BinaryImage, flavor: str = "P5") -> bytes:
     header = f"{flavor}\n{image.width} {image.height}\n{MAXVAL}\n".encode("ascii")
     if flavor == "P5":
         return header + image.pixels.tobytes()
-    body = "\n".join(" ".join(map(str, row)) for row in image.pixels.tolist())
-    return header + body.encode("ascii") + b"\n"
+    pixels = image.pixels
+    body = _TOKEN_WORDS[pixels].view(np.uint8)[_TOKEN_MASKS[pixels].view(np.bool_)]
+    row_ends = np.cumsum(_TOKEN_LENGTHS[pixels].sum(axis=1, dtype=np.intp)) - 1
+    body[row_ends] = _NEWLINE
+    return header + body.data
 
 
 def load_pgm(path: str | os.PathLike) -> GrayImage:

@@ -90,6 +90,6 @@ def emit_report(report: RunReport) -> bytes:
 
 def emit_histogram_csv(hist: Histogram) -> bytes:
     """Serialize all 256 bins as ``value,count`` CSV lines under a header."""
-    lines = ["value,count"]
-    lines.extend(f"{value},{int(count)}" for value, count in enumerate(hist.counts))
-    return ("\n".join(lines) + "\n").encode("ascii")
+    counts = hist.counts.tolist()
+    rows = "".join(map("{},{}\n".format, range(len(counts)), counts))
+    return ("value,count\n" + rows).encode("ascii")

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from bilevel import GrayImage
+from bilevel import GrayImage, PgmFormatError, SampleRangeError, TruncatedDataError
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
@@ -63,6 +63,32 @@ def naive_fixed_points(pixels) -> set[int]:
             if abs(t - midpoint) < 1.0:
                 hits.add(t)
     return hits
+
+
+def naive_plain_samples(text: bytes, width: int, height: int) -> np.ndarray:
+    """Reference P2 raster decoder: one Python token at a time.
+
+    Strips ``#`` comments line by line, splits on whitespace, checks the
+    token count, then each token with ``isdigit``, then each value, held as
+    a Python ``int`` so no width limits it, against 255. Raises the same
+    exception, with the same message, that ``read_pgm`` must raise.
+    """
+    if b"#" in text:
+        text = b"\n".join(line.split(b"#", 1)[0] for line in text.splitlines())
+    tokens = text.split()
+    expected = width * height
+    if len(tokens) < expected:
+        raise TruncatedDataError(expected, len(tokens))
+    if len(tokens) > expected:
+        raise PgmFormatError(f"surplus raster data: expected {expected} samples, found {len(tokens)}")
+    for token in tokens:
+        if not token.isdigit():
+            raise PgmFormatError(f"invalid sample token {token.decode('ascii', 'replace')!r}")
+    values = [int(token) for token in tokens]
+    for value in values:
+        if value > 255:
+            raise SampleRangeError(f"sample value {value} exceeds maxval 255")
+    return np.array(values, dtype=np.uint8).reshape(height, width)
 
 
 def run_cli(args, cwd=None) -> subprocess.CompletedProcess:

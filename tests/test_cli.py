@@ -191,6 +191,35 @@ class TestFailureModes:
         assert str(tmp_path / report) in proc.stderr
         assert sorted(tmp_path.rglob("*")) == before
 
+    @pytest.mark.parametrize(
+        "args",
+        [["-m", "iterative", "-o", "in.pgm"],
+         ["-m", "mean", "-o", "alias/in.pgm"],
+         ["-m", "compare", "-o", "out.pgm", "--report", "in.pgm"]],
+    )
+    def test_output_equal_to_input_exits_3_and_leaves_input_unchanged(self, tmp_path, args):
+        inp = make_pgm(tmp_path, "in.pgm", 4, 1, [10, 20, 30, 40])
+        (tmp_path / "alias").symlink_to(tmp_path, target_is_directory=True)
+        original = inp.read_bytes()
+        before = sorted(tmp_path.rglob("*"))
+        proc = run_cli(["-i", "in.pgm", *args], cwd=tmp_path)
+        assert proc.returncode == 3
+        assert f"output {args[-1]} would overwrite the input" in proc.stderr
+        assert inp.read_bytes() == original
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_failed_commit_removes_the_histograms_directory_it_made(self, tmp_path):
+        inp = make_pgm(tmp_path, "in.pgm", 4, 1, [10, 20, 30, 40])
+        (tmp_path / "old").mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        for hist_dir in ("h", "old/a/b"):
+            proc = run_cli(
+                ["-i", inp, "-o", tmp_path / "out.pgm", "-m", "mean",
+                 "--report", tmp_path / "nodir" / "r.json", "--histograms", tmp_path / hist_dir]
+            )
+            assert proc.returncode == 1
+            assert sorted(tmp_path.rglob("*")) == before  # old/ existed before, so it stays
+
     def test_failed_rename_unlinks_every_temp_file(self, tmp_path, monkeypatch, capsys):
         inp = make_pgm(tmp_path, "in.pgm", 4, 1, [10, 20, 30, 40])
         args = ["-i", str(inp), "-o", str(tmp_path / "out.pgm"), "-m", "mean",

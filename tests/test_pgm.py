@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from bilevel import (
     BinaryImage,
@@ -12,7 +15,7 @@ from bilevel import (
     read_pgm,
     write_pgm,
 )
-from helpers import random_gray_image
+from helpers import naive_plain_samples, random_gray_image
 
 
 class TestReadPgm:
@@ -167,3 +170,114 @@ class TestRoundTrip:
         img = GrayImage.from_flat(4, 1, [0, 255, 0, 255])
         for flavor in ("P2", "P5"):
             assert read_pgm(write_pgm(img, flavor)) == img
+
+
+# Raster pieces for the P2 decoder properties: in-range samples, zero-padded
+# ones, samples above 255 up to 30 digits, and the bytes a strict decoder
+# must refuse. Separators cover all six whitespace bytes; an empty one
+# glues two pieces into one token.
+_SAMPLE_TOKENS = st.one_of(
+    st.integers(0, 255).map(b"%d".__mod__),
+    st.tuples(st.integers(0, 255), st.integers(2, 6)).map(lambda vw: b"%0*d" % (vw[1], vw[0])),
+    st.integers(256, 10**30).map(b"%d".__mod__),
+)
+_ODD_PIECES = st.sampled_from(
+    [b"#", b"# note\n", b"-", b"-1", b"+", b"+7", b".", b"1.5", b"\x00", b"\xff", b"0x1"]
+)
+_SEPARATORS = st.sampled_from([b"", b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c", b"\r\n", b" \n "])
+
+
+def _images(max_side: int):
+    return arrays(
+        np.uint8,
+        st.tuples(st.integers(1, max_side), st.integers(1, max_side)),
+        elements=st.integers(0, 255),
+    )
+
+
+@st.composite
+def _plain_rasters(draw):
+    """(raster, width, height); the dimensions often match the piece count.
+
+    The raster opens with the byte that ends the maxval token: whitespace,
+    or a comment that may swallow the rest of its line.
+    """
+    opening = draw(st.sampled_from([b"\n", b" ", b"\t", b"\r\n", b"#c\n", b"#"]))
+    pieces = draw(st.lists(st.one_of(_SAMPLE_TOKENS, _SAMPLE_TOKENS, _ODD_PIECES), max_size=12))
+    seps = draw(st.lists(_SEPARATORS, min_size=len(pieces) + 1, max_size=len(pieces) + 1))
+    body = opening + seps[0] + b"".join(piece + sep for piece, sep in zip(pieces, seps[1:]))
+    width = draw(st.integers(1, 4))
+    height = draw(st.one_of(st.just(max(1, len(pieces) // width)), st.integers(1, 4)))
+    return body, width, height
+
+
+def decode_outcome(decode, *args):
+    """(image pixels, None) on success, else (exception class, message)."""
+    try:
+        result = decode(*args)
+    except PgmError as exc:
+        return type(exc), str(exc)
+    return np.asarray(getattr(result, "pixels", result)).tolist(), None
+
+
+def naive_plain_encoding(pixels: np.ndarray) -> bytes:
+    height, width = pixels.shape
+    rows = "".join(" ".join(map(str, row)) + "\n" for row in pixels.tolist())
+    return f"P2\n{width} {height}\n255\n".encode() + rows.encode()
+
+
+class TestCodecProperties:
+    @settings(max_examples=400, deadline=None)
+    @given(case=_plain_rasters())
+    @example(case=(b"\n0 99999999999999999999", 2, 1))
+    @example(case=(b" 300 1 99999999999999999999", 3, 1))
+    @example(case=(b"\x0b7\x0c00008\r", 1, 2))
+    @example(case=(b"#7\n8", 1, 1))
+    def test_plain_decode_matches_reference(self, case):
+        raster, width, height = case
+        header = b"P2\n%d %d\n255" % (width, height)
+        assert decode_outcome(read_pgm, header + raster) == decode_outcome(
+            naive_plain_samples, raster, width, height
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(pixels=_images(24))
+    @example(pixels=np.zeros((1, 1), np.uint8))
+    @example(pixels=np.arange(256, dtype=np.uint8).reshape(1, 256))
+    @example(pixels=np.arange(256, dtype=np.uint8).reshape(256, 1))
+    def test_plain_encode_matches_naive_rows(self, pixels):
+        assert write_pgm(GrayImage(pixels), "P2") == naive_plain_encoding(pixels)
+
+    @settings(max_examples=100, deadline=None)
+    @given(mask=arrays(np.bool_, st.tuples(st.integers(1, 24), st.integers(1, 24))))
+    def test_plain_encode_of_binary_matches_naive_rows(self, mask):
+        pixels = np.where(mask, 255, 0).astype(np.uint8)
+        assert write_pgm(BinaryImage(pixels), "P2") == naive_plain_encoding(pixels)
+
+    @settings(max_examples=150, deadline=None)
+    @given(pixels=_images(8), data=st.data())
+    def test_plain_and_raw_decode_to_the_same_image(self, pixels, data):
+        height, width = pixels.shape
+        # Any legal spelling of the samples: padded tokens, any whitespace run.
+        pads = data.draw(st.lists(st.integers(1, 5), min_size=pixels.size, max_size=pixels.size))
+        seps = data.draw(
+            st.lists(_SEPARATORS.filter(bool), min_size=pixels.size, max_size=pixels.size)
+        )
+        body = b"".join(
+            b"%0*d" % (pad, value) + sep for value, pad, sep in zip(pixels.ravel().tolist(), pads, seps)
+        )
+        plain = read_pgm(b"P2\n%d %d\n255\n" % (width, height) + body)
+        raw = read_pgm(b"P5\n%d %d\n255\n" % (width, height) + pixels.tobytes())
+        assert plain == raw == GrayImage(pixels)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        prefix=st.sampled_from([b"", b"P2 ", b"P5 ", b"P2 3 2 255 ", b"P5 3 2 255 "]),
+        tail=st.binary(max_size=40),
+    )
+    def test_arbitrary_bytes_raise_only_pgm_errors(self, prefix, tail):
+        try:
+            image = read_pgm(prefix + tail)
+        except PgmError:
+            return
+        assert isinstance(image, GrayImage)
