@@ -4,6 +4,10 @@ Exit codes are a stable contract: 0 success, 1 I/O failure, 2 malformed
 input image, 3 bad arguments. On any failure no new output file is left
 behind; every file is written to a temporary name first and renamed only
 after all payloads are staged.
+
+Each payload is built only when its temporary file is written and dropped
+right after, so a run holds the input buffer and at most one binary image,
+and a PGM's header and pixels go to the file as two chunks, never joined.
 """
 
 from __future__ import annotations
@@ -11,13 +15,17 @@ from __future__ import annotations
 import argparse
 import contextlib
 import errno
+import functools
 import itertools
 import os
+import stat
 import sys
+from collections.abc import Callable, Iterable
 from pathlib import Path
 
 from .histogram import build_histogram
-from .pgm import PgmError, read_pgm, write_pgm
+from .image import GrayImage
+from .pgm import PgmError, _encode_pgm, read_pgm
 from .report import RunReport, emit_histogram_csv, emit_report
 from .threshold import (
     METHOD_ITERATIVE,
@@ -99,12 +107,32 @@ def _suffixed(output: Path, tag: str) -> Path:
     return output.with_name(f"{name}.{tag}.pgm")
 
 
-def _reject_directory_targets(outputs: list[tuple[Path, bytes]]) -> None:
-    # os.replace onto a directory fails only after earlier outputs are in
-    # place, so refuse such a target before anything is written.
-    for path, _ in outputs:
-        if path.is_dir():
+def _existing_targets(
+    parser: argparse.ArgumentParser, source: os.stat_result, input_path: str, paths: list[Path]
+) -> set[Path]:
+    """The targets that exist before the run, after refusing two kinds of them.
+
+    One ``lstat`` per target. A directory (also behind a symlink) is
+    refused as an I/O error, because ``os.replace`` onto it would fail only
+    after earlier outputs were in place. An entry that is the input's file,
+    the input having been named through a symlink, is refused as a usage
+    error. A hard link to the input shares its inode but not its path, and
+    replacing that entry leaves the input intact, so it is allowed.
+    """
+    existing = set()
+    for path in paths:
+        try:
+            entry = os.lstat(path)
+        except (FileNotFoundError, NotADirectoryError):
+            continue
+        existing.add(path)
+        if stat.S_ISDIR(entry.st_mode) or (stat.S_ISLNK(entry.st_mode) and path.is_dir()):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        if (entry.st_dev, entry.st_ino) == (source.st_dev, source.st_ino) and (
+            os.path.realpath(path) == os.path.realpath(input_path)
+        ):
+            parser.error(f"output {path} would overwrite the input")
+    return existing
 
 
 def _reject_colliding_targets(
@@ -128,19 +156,50 @@ def _reject_colliding_targets(
         claimed[entry] = path
 
 
-def _stage_and_commit(outputs: list[tuple[Path, bytes]]) -> None:
+def _binary_pgm(image: GrayImage, threshold: float, flavor: str) -> tuple[bytes, memoryview]:
+    return _encode_pgm(binarize(image, threshold), flavor)
+
+
+def _stage_and_commit(
+    outputs: list[tuple[Path, Callable[[], Iterable[bytes | memoryview]]]],
+    existing: set[Path],
+    hist_dir: Path | None,
+) -> None:
+    """Write each payload to a temp file, then rename every temp file onto its target.
+
+    A payload is built just before its temp file is written and is dropped
+    once it is written. On any failure, whatever the run made is removed:
+    the temp files, the outputs already renamed onto targets not in
+    ``existing``, and ``hist_dir`` with any parents the run created, while
+    empty. A target that existed before stays replaced.
+    """
+    new_dirs: list[Path] = []  # what mkdir is about to create, deepest first
     staged: list[tuple[Path, Path]] = []
+    renamed: list[Path] = []
     try:
-        for path, payload in outputs:
+        if hist_dir is not None:
+            new_dirs = list(
+                itertools.takewhile(lambda d: not d.exists(), (hist_dir, *hist_dir.parents))
+            )
+            hist_dir.mkdir(parents=True, exist_ok=True)
+        for path, build in outputs:
             tmp = path.with_name(f".{path.name}.tmp-{os.getpid()}")
             staged.append((tmp, path))
-            tmp.write_bytes(payload)
+            with open(tmp, "wb") as fh:
+                fh.writelines(build())
         for tmp, path in staged:
             os.replace(tmp, path)
-    except OSError:
-        # Temp files already renamed are gone; the rest must not be left behind.
+            renamed.append(path)
+    except BaseException:
+        # Payloads are built in the loop above, so any exception can land here.
         for tmp, _ in staged:
             tmp.unlink(missing_ok=True)
+        for path in renamed:
+            if path not in existing:
+                path.unlink(missing_ok=True)
+        for directory in new_dirs:  # one still holding a file stays, as do its parents
+            with contextlib.suppress(OSError):
+                directory.rmdir()
         raise
 
 
@@ -158,7 +217,7 @@ def main(argv: list[str] | None = None) -> int:
         }
     else:
         image_paths = {args.method: output}
-    hist_input_path = hist_output_path = None
+    hist_dir = hist_input_path = hist_output_path = None
     if args.histograms:
         hist_dir = Path(args.histograms)
         stem = Path(args.input).stem
@@ -171,7 +230,9 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     try:
-        data = Path(args.input).read_bytes()
+        with open(args.input, "rb") as fh:
+            source = os.fstat(fh.fileno())
+            data = fh.read()
     except OSError as exc:
         print(f"bilevel: error: cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -191,17 +252,16 @@ def main(argv: list[str] | None = None) -> int:
 
     flavor = "P2" if args.ascii else "P5"
     outputs = [
-        (path, write_pgm(binarize(image, results[name].optimum), flavor))
+        (path, functools.partial(_binary_pgm, image, results[name].optimum, flavor))
         for name, path in image_paths.items()
     ]
     if args.histograms:
         # In compare mode the output histogram tracks the iterative result,
         # the run's refined threshold; the mean output is available via -m mean.
         reported = results.get(METHOD_ITERATIVE, results.get(METHOD_MEAN))
-        outputs.append((hist_input_path, emit_histogram_csv(hist)))
-        outputs.append(
-            (hist_output_path, emit_histogram_csv(binarized_histogram(hist, reported.optimum)))
-        )
+        binarized = binarized_histogram(hist, reported.optimum)
+        outputs.append((hist_input_path, lambda: (emit_histogram_csv(hist),)))
+        outputs.append((hist_output_path, lambda: (emit_histogram_csv(binarized),)))
 
     if report_path:
         report = RunReport(
@@ -213,21 +273,12 @@ def main(argv: list[str] | None = None) -> int:
             histogram_input_path=str(hist_input_path) if hist_input_path else None,
             histogram_output_path=str(hist_output_path) if hist_output_path else None,
         )
-        outputs.append((report_path, emit_report(report)))
+        outputs.append((report_path, lambda: (emit_report(report),)))
 
-    new_dirs: list[Path] = []  # what mkdir is about to create, deepest first
     try:
-        _reject_directory_targets(outputs)
-        if args.histograms:
-            new_dirs = list(
-                itertools.takewhile(lambda d: not d.exists(), (hist_dir, *hist_dir.parents))
-            )
-            hist_dir.mkdir(parents=True, exist_ok=True)
-        _stage_and_commit(outputs)
+        existing = _existing_targets(parser, source, args.input, [path for path, _ in outputs])
+        _stage_and_commit(outputs, existing, hist_dir)
     except OSError as exc:
-        for directory in new_dirs:  # one still holding a file stays, as do its parents
-            with contextlib.suppress(OSError):
-                directory.rmdir()
         print(f"bilevel: error: cannot write outputs: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -35,9 +35,10 @@ def _validated_pixels(pixels, binary: bool) -> np.ndarray:
         raise ValueError(f"image dimensions must be at least 1x1, got {width}x{height}")
     if arr.dtype.kind not in "ui":
         raise ValueError(f"pixel values must be integers, got dtype {arr.dtype}")
-    lo, hi = int(arr.min()), int(arr.max())
-    if lo < 0 or hi > 255:
-        raise ValueError(f"pixel values must lie in [0, 255], found range [{lo}, {hi}]")
+    if arr.dtype != np.uint8:  # every uint8 value is in range already
+        lo, hi = int(arr.min()), int(arr.max())
+        if lo < 0 or hi > 255:
+            raise ValueError(f"pixel values must lie in [0, 255], found range [{lo}, {hi}]")
     if binary and not np.isin(arr, BINARY_LEVELS).all():
         bad = int(arr[~np.isin(arr, BINARY_LEVELS)][0])
         raise ValueError(f"binary image may contain only 0 and 255, found {bad}")

@@ -148,15 +148,14 @@ def read_pgm(data: bytes) -> GrayImage:
             raise TruncatedDataError(expected, 0)
         if data[pos] not in _WHITESPACE:
             raise PgmFormatError("expected a single whitespace byte after maxval in P5 header")
-        raster = data[pos + 1 :]
-        if len(raster) < expected:
-            raise TruncatedDataError(expected, len(raster))
-        if len(raster) > expected:
-            raise PgmFormatError(
-                f"surplus raster data: expected {expected} bytes, found {len(raster)}"
-            )
-        pixels = np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
-        return GrayImage(pixels)
+        found = len(data) - pos - 1
+        if found < expected:
+            raise TruncatedDataError(expected, found)
+        if found > expected:
+            raise PgmFormatError(f"surplus raster data: expected {expected} bytes, found {found}")
+        # A read-only view of the immutable bytes: the raster is never copied.
+        pixels = np.frombuffer(data, dtype=np.uint8, count=expected, offset=pos + 1)
+        return GrayImage(pixels.reshape(height, width))
 
     return GrayImage(_parse_plain_samples(data[pos:], width, height))
 
@@ -194,22 +193,33 @@ def _parse_plain_samples(text: bytes, width: int, height: int) -> np.ndarray:
     return samples.astype(np.uint8).reshape(height, width)
 
 
+def _encode_pgm(image: GrayImage | BinaryImage, flavor: str = "P5") -> tuple[bytes, memoryview]:
+    """The PGM file of ``image`` as two chunks, ``(header, body)``, never joined.
+
+    A P5 body is a view of the image's own read-only pixels, so encoding
+    copies nothing; a P2 body is the token bytes. Writing both chunks in
+    order gives the file :func:`write_pgm` returns.
+    """
+    if flavor not in FLAVORS:
+        raise ValueError(f"unknown PGM flavor {flavor!r}: expected one of {FLAVORS}")
+    header = f"{flavor}\n{image.width} {image.height}\n{MAXVAL}\n".encode("ascii")
+    pixels = image.pixels
+    if flavor == "P5":
+        return header, pixels.data
+    body = _TOKEN_WORDS[pixels].view(np.uint8)[_TOKEN_MASKS[pixels].view(np.bool_)]
+    row_ends = np.cumsum(_TOKEN_LENGTHS[pixels].sum(axis=1, dtype=np.intp)) - 1
+    body[row_ends] = _NEWLINE
+    return header, body.data
+
+
 def write_pgm(image: GrayImage | BinaryImage, flavor: str = "P5") -> bytes:
     """Encode an image as PGM bytes in the requested flavor.
 
     The header is exactly ``<flavor>\\n<width> <height>\\n255\\n``. P2 output
     puts one image row per text line.
     """
-    if flavor not in FLAVORS:
-        raise ValueError(f"unknown PGM flavor {flavor!r}: expected one of {FLAVORS}")
-    header = f"{flavor}\n{image.width} {image.height}\n{MAXVAL}\n".encode("ascii")
-    if flavor == "P5":
-        return header + image.pixels.tobytes()
-    pixels = image.pixels
-    body = _TOKEN_WORDS[pixels].view(np.uint8)[_TOKEN_MASKS[pixels].view(np.bool_)]
-    row_ends = np.cumsum(_TOKEN_LENGTHS[pixels].sum(axis=1, dtype=np.intp)) - 1
-    body[row_ends] = _NEWLINE
-    return header + body.data
+    header, body = _encode_pgm(image, flavor)
+    return header + body
 
 
 def load_pgm(path: str | os.PathLike) -> GrayImage:
@@ -219,4 +229,6 @@ def load_pgm(path: str | os.PathLike) -> GrayImage:
 
 def save_pgm(path: str | os.PathLike, image: GrayImage | BinaryImage, flavor: str = "P5") -> None:
     """Write an image to disk as PGM."""
-    Path(path).write_bytes(write_pgm(image, flavor))
+    chunks = _encode_pgm(image, flavor)
+    with open(path, "wb") as fh:
+        fh.writelines(chunks)

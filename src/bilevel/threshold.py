@@ -103,7 +103,10 @@ def _split_level(threshold: float) -> int:
 def binarize(image: GrayImage, threshold: float) -> BinaryImage:
     """Map pixels above the threshold to 255 and all others to 0."""
     level = np.uint8(_split_level(threshold))
-    return BinaryImage._trusted(np.multiply(image.pixels > level, np.uint8(255), dtype=np.uint8))
+    # One buffer: the comparison's 0/1 bytes, scaled to 0/255 in place.
+    out = np.greater(image.pixels, level).view(np.uint8)
+    np.multiply(out, np.uint8(255), out=out)
+    return BinaryImage._trusted(out)
 
 
 def binarized_histogram(hist: Histogram, threshold: float) -> Histogram:

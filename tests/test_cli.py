@@ -1,6 +1,7 @@
 import json
 import os
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,22 @@ def make_pgm(directory: Path, name: str, width: int, height: int, values) -> Pat
 
 def no_temp_files(directory: Path) -> bool:
     return not [p for p in directory.rglob("*") if ".tmp-" in p.name]
+
+
+REAL_REPLACE = os.replace
+
+
+def fail_rename(monkeypatch, fail_at: int) -> None:
+    """Let the first ``fail_at`` calls to ``os.replace`` through; every later one raises."""
+    renames = []
+
+    def replace(src, dst):
+        renames.append(dst)
+        if len(renames) > fail_at:
+            raise OSError("injected rename failure")
+        REAL_REPLACE(src, dst)
+
+    monkeypatch.setattr(bilevel.cli.os, "replace", replace)
 
 
 class TestSingleMethodRuns:
@@ -208,6 +225,26 @@ class TestFailureModes:
         assert inp.read_bytes() == original
         assert sorted(tmp_path.rglob("*")) == before
 
+    def test_output_replacing_an_input_named_through_a_file_symlink_exits_3(self, tmp_path):
+        inp = make_pgm(tmp_path, "x.pgm", 4, 1, [10, 20, 30, 40])
+        (tmp_path / "link.pgm").symlink_to("x.pgm")
+        original = inp.read_bytes()
+        before = sorted(tmp_path.rglob("*"))
+        proc = run_cli(["-i", "link.pgm", "-o", "x.pgm", "-m", "iterative"], cwd=tmp_path)
+        assert proc.returncode == 3
+        assert "output x.pgm would overwrite the input" in proc.stderr
+        assert inp.read_bytes() == original
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_output_replacing_a_hard_link_to_the_input_is_allowed(self, tmp_path):
+        inp = make_pgm(tmp_path, "x.pgm", 4, 1, [10, 20, 30, 40])
+        os.link(inp, tmp_path / "hard.pgm")
+        original = inp.read_bytes()
+        proc = run_cli(["-i", "hard.pgm", "-o", "x.pgm", "-m", "mean"], cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "hard.pgm").read_bytes() == original
+        assert load_pgm(inp).pixels.tolist() == [[0, 0, 255, 255]]
+
     def test_failed_commit_removes_the_histograms_directory_it_made(self, tmp_path):
         inp = make_pgm(tmp_path, "in.pgm", 4, 1, [10, 20, 30, 40])
         (tmp_path / "old").mkdir()
@@ -224,20 +261,70 @@ class TestFailureModes:
         inp = make_pgm(tmp_path, "in.pgm", 4, 1, [10, 20, 30, 40])
         args = ["-i", str(inp), "-o", str(tmp_path / "out.pgm"), "-m", "mean",
                 "--report", str(tmp_path / "r.json"), "--histograms", str(tmp_path / "h")]
-        real_replace = os.replace
         for fail_at in range(4):  # the run commits four files
-            renames = []
-
-            def replace(src, dst):
-                renames.append(dst)
-                if len(renames) > fail_at:
-                    raise OSError("injected rename failure")
-                real_replace(src, dst)
-
-            monkeypatch.setattr(bilevel.cli.os, "replace", replace)
+            fail_rename(monkeypatch, fail_at)
             assert bilevel.cli.main(args) == 1
             assert "injected rename failure" in capsys.readouterr().err
             assert no_temp_files(tmp_path)
+
+    def test_failed_rename_rolls_back_the_outputs_it_created(self, tmp_path, monkeypatch, capsys):
+        inp = make_pgm(tmp_path, "in.pgm", 4, 1, [10, 20, 30, 40])
+        (tmp_path / "out.pgm").write_bytes(b"existed before the run")
+        before = sorted(tmp_path.rglob("*"))
+        args = ["-i", str(inp), "-o", str(tmp_path / "out.pgm"), "-m", "mean",
+                "--report", str(tmp_path / "r.json"), "--histograms", str(tmp_path / "h")]
+        for fail_at in range(4):  # the run commits four files
+            fail_rename(monkeypatch, fail_at)
+            assert bilevel.cli.main(args) == 1
+            assert "injected rename failure" in capsys.readouterr().err
+            # The new outputs, their temp files and h/ are gone; out.pgm existed, so it stays.
+            assert sorted(tmp_path.rglob("*")) == before
+
+    def test_exception_while_building_a_payload_leaves_listing_unchanged(
+        self, tmp_path, monkeypatch
+    ):
+        inp = make_pgm(tmp_path, "in.pgm", 4, 1, [10, 20, 30, 40])
+        before = sorted(tmp_path.rglob("*"))
+        real_binarize = bilevel.cli.binarize
+        built = []
+
+        def binarize(image, threshold):
+            built.append(threshold)
+            if len(built) == 2:  # the first payload is staged by now
+                raise RuntimeError("injected encode failure")
+            return real_binarize(image, threshold)
+
+        monkeypatch.setattr(bilevel.cli, "binarize", binarize)
+        args = ["-i", str(inp), "-o", str(tmp_path / "out.pgm"), "-m", "compare",
+                "--report", str(tmp_path / "r.json"), "--histograms", str(tmp_path / "h")]
+        with pytest.raises(RuntimeError, match="injected encode failure"):
+            bilevel.cli.main(args)
+        assert len(built) == 2
+        assert sorted(tmp_path.rglob("*")) == before
+
+
+class TestMemory:
+    @pytest.mark.parametrize(
+        "args",
+        [["-m", "iterative"], ["-m", "compare", "--report", "r.json", "--histograms", "h"]],
+    )
+    def test_peak_stays_under_two_and_a_half_images(self, tmp_path, monkeypatch, capsys, args):
+        # The input buffer plus one binary image is two images' worth; joined
+        # or copied payloads would add a third.
+        rng = np.random.default_rng(5)
+        image = GrayImage(rng.integers(0, 256, size=(1024, 1024), dtype=np.uint8))
+        save_pgm(tmp_path / "in.pgm", image)
+        monkeypatch.chdir(tmp_path)
+        argv = ["-i", "in.pgm", "-o", "out.pgm", *args]
+        assert bilevel.cli.main(argv) == 0  # first-use set-up stays out of the peak
+        tracemalloc.start()
+        try:
+            assert bilevel.cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * image.pixels.nbytes
+        capsys.readouterr()
 
 
 class TestDeterminism:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -48,6 +50,20 @@ class TestReadPgm:
     def test_raw_pixels_keep_row_major_order(self):
         img = read_pgm(b"P5\n3 2\n255\n" + bytes([1, 2, 3, 4, 5, 6]))
         assert img.pixels.tolist() == [[1, 2, 3], [4, 5, 6]]
+
+    def test_raw_pixels_are_a_read_only_view_of_the_input_bytes(self):
+        data = b"P5\n3 2\n255\n" + bytes([1, 2, 3, 4, 5, 6])
+        pixels = read_pgm(data).pixels
+        assert np.shares_memory(pixels, np.frombuffer(data, dtype=np.uint8))
+        assert not pixels.flags.writeable
+        with pytest.raises(ValueError):
+            pixels[0, 0] = 9
+
+    def test_raw_pixels_do_not_alias_a_bytearray_input(self):
+        data = bytearray(b"P5\n3 2\n255\n" + bytes([1, 2, 3, 4, 5, 6]))
+        image = read_pgm(data)
+        data[-6:] = bytes(6)
+        assert image.pixels.tolist() == [[1, 2, 3], [4, 5, 6]]
 
 
 class TestReadPgmRejections:
@@ -281,3 +297,24 @@ class TestCodecProperties:
         except PgmError:
             return
         assert isinstance(image, GrayImage)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        flavor=st.sampled_from([b"P2", b"P5"]),
+        width=st.integers(2**10, 2**31),
+        height=st.integers(2**10, 2**31),
+        raster=st.binary(max_size=256),
+    )
+    def test_huge_declared_dimensions_fail_without_allocating_them(
+        self, flavor, width, height, raster
+    ):
+        # At least 1 MiB declared, at most 256 bytes of raster present.
+        data = b"%s\n%d %d\n255\n" % (flavor, width, height) + raster
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncatedDataError):
+                read_pgm(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
