@@ -107,18 +107,33 @@ def _suffixed(output: Path, tag: str) -> Path:
     return output.with_name(f"{name}.{tag}.pgm")
 
 
-def _existing_targets(
+def _plan_targets(
     parser: argparse.ArgumentParser, source: os.stat_result, input_path: str, paths: list[Path]
 ) -> set[Path]:
-    """The targets that exist before the run, after refusing two kinds of them.
+    """The targets that exist before the run, after refusing the ones it must not write.
 
-    One ``lstat`` per target. A directory (also behind a symlink) is
+    Two payloads for one directory entry would be staged to one temp name,
+    and a payload renamed onto the input's entry would replace the input:
+    both are usage errors. Entries collide only when their names match, so
+    a path with a unique name skips resolve() and its lstat per component.
+
+    Then one ``lstat`` per target. A directory (also behind a symlink) is
     refused as an I/O error, because ``os.replace`` onto it would fail only
     after earlier outputs were in place. An entry that is the input's file,
-    the input having been named through a symlink, is refused as a usage
-    error. A hard link to the input shares its inode but not its path, and
-    replacing that entry leaves the input intact, so it is allowed.
+    the input having been named through a symlink, is a usage error. A hard
+    link to the input shares its inode but not its path, and replacing that
+    entry leaves the input intact, so it is allowed.
     """
+    named = (Path(input_path), *paths)
+    names = [path.name for path in named]
+    claimed: dict[tuple[Path, str], Path] = {}
+    for path in named:
+        if names.count(path.name) > 1:
+            first = claimed.setdefault((path.parent.resolve(), path.name), path)
+            if first is not path and first is named[0]:
+                parser.error(f"output {path} would overwrite the input")
+            if first is not path:
+                parser.error(f"two outputs would be written to {path}")
     existing = set()
     for path in paths:
         try:
@@ -133,27 +148,6 @@ def _existing_targets(
         ):
             parser.error(f"output {path} would overwrite the input")
     return existing
-
-
-def _reject_colliding_targets(
-    parser: argparse.ArgumentParser, source: Path, paths: list[Path]
-) -> None:
-    # Two payloads for one directory entry would be staged to one temp name,
-    # and the second rename would fail after the first had put a wrong file
-    # in place; a payload renamed onto the input's entry would replace the
-    # input. Entries collide only when their names match, so a path with a
-    # unique name skips resolve() and its lstat per component.
-    names = [path.name for path in (source, *paths)]
-    claimed: dict[tuple[Path, str], Path] = {}
-    for path in (source, *paths):
-        if names.count(path.name) == 1:
-            continue
-        entry = (path.parent.resolve(), path.name)
-        if entry in claimed:
-            if claimed[entry] is source:
-                parser.error(f"output {path} would overwrite the input")
-            parser.error(f"two outputs would be written to {path}")
-        claimed[entry] = path
 
 
 def _binary_pgm(image: GrayImage, threshold: float, flavor: str) -> tuple[bytes, memoryview]:
@@ -224,10 +218,6 @@ def main(argv: list[str] | None = None) -> int:
         hist_input_path = hist_dir / f"{stem}.input.csv"
         hist_output_path = hist_dir / f"{stem}.output.csv"
     report_path = Path(args.report) if args.report else None
-    targets = [*image_paths.values(), hist_input_path, hist_output_path, report_path]
-    _reject_colliding_targets(
-        parser, Path(args.input), [path for path in targets if path is not None]
-    )
 
     try:
         with open(args.input, "rb") as fh:
@@ -276,7 +266,7 @@ def main(argv: list[str] | None = None) -> int:
         outputs.append((report_path, lambda: (emit_report(report),)))
 
     try:
-        existing = _existing_targets(parser, source, args.input, [path for path, _ in outputs])
+        existing = _plan_targets(parser, source, args.input, [path for path, _ in outputs])
         _stage_and_commit(outputs, existing, hist_dir)
     except OSError as exc:
         print(f"bilevel: error: cannot write outputs: {exc}", file=sys.stderr)

@@ -47,7 +47,7 @@ class Histogram:
             raise ValueError(f"histogram needs exactly {BIN_COUNT} bins, got shape {arr.shape}")
         if arr.dtype.kind not in "ui":
             raise ValueError(f"bin counts must be integers, got dtype {arr.dtype}")
-        if arr.size and int(arr.min()) < 0:
+        if int(arr.min()) < 0:
             raise ValueError("bin counts must be non-negative")
         object.__setattr__(self, "counts", _frozen(arr, np.int64))
 

@@ -18,10 +18,8 @@ BINARY_LEVELS = (0, 255)
 
 
 def _frozen(arr: np.ndarray, dtype) -> np.ndarray:
-    """``arr`` as a contiguous read-only ``dtype`` array, copied if it aliases a writable buffer."""
-    out = np.ascontiguousarray(arr, dtype=dtype)
-    if out is arr and arr.flags.writeable:
-        out = arr.copy()
+    """A read-only contiguous ``dtype`` copy of ``arr``, which no caller can change."""
+    out = np.array(arr, dtype=dtype, order="C")
     out.setflags(write=False)
     return out
 
@@ -54,6 +52,20 @@ class _Image:
 
     def __post_init__(self):
         object.__setattr__(self, "pixels", _validated_pixels(self.pixels, self._binary))
+
+    @classmethod
+    def _trusted(cls, pixels: np.ndarray):
+        """Wrap a 2-D uint8 buffer that the library made itself, without a copy.
+
+        Skips the validation passes and the copy of the public constructor,
+        which stays the only way in for buffers from outside. The caller
+        hands over the buffer, which must hold only values ``cls`` admits:
+        it is made read-only here, and nothing may keep it writable.
+        """
+        pixels.setflags(write=False)
+        image = object.__new__(cls)
+        object.__setattr__(image, "pixels", pixels)
+        return image
 
     @classmethod
     def from_flat(cls, width: int, height: int, values: Sequence[int]):
@@ -91,19 +103,6 @@ class BinaryImage(_Image):
 
     _binary = True
 
-    @classmethod
-    def _trusted(cls, pixels: np.ndarray) -> "BinaryImage":
-        """Wrap a fresh 2-D uint8 0/255 buffer that the library made itself.
-
-        Skips the validation passes of the public constructor, which stays
-        the only way in for buffers from outside. The caller hands over the
-        buffer: it is made read-only here and must not be kept writable.
-        """
-        pixels.setflags(write=False)
-        image = object.__new__(cls)
-        object.__setattr__(image, "pixels", pixels)
-        return image
-
     def to_gray(self) -> GrayImage:
         """View the two-level buffer as an ordinary grayscale image."""
-        return GrayImage(self.pixels)
+        return GrayImage._trusted(self.pixels)

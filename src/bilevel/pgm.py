@@ -155,9 +155,9 @@ def read_pgm(data: bytes) -> GrayImage:
             raise PgmFormatError(f"surplus raster data: expected {expected} bytes, found {found}")
         # A read-only view of the immutable bytes: the raster is never copied.
         pixels = np.frombuffer(data, dtype=np.uint8, count=expected, offset=pos + 1)
-        return GrayImage(pixels.reshape(height, width))
+        return GrayImage._trusted(pixels.reshape(height, width))
 
-    return GrayImage(_parse_plain_samples(data[pos:], width, height))
+    return GrayImage._trusted(_parse_plain_samples(data[pos:], width, height))
 
 
 def _count_tokens(text: bytes) -> int:

@@ -5,6 +5,7 @@ raw pixel list, Python-int accumulation) so they share no code path with
 the histogram-driven implementations they check.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -102,3 +103,21 @@ def run_cli(args, cwd=None) -> subprocess.CompletedProcess:
         cwd=cwd,
         env=env,
     )
+
+
+def snapshot(directory: Path) -> dict[str, tuple]:
+    """Every entry under ``directory``: a symlink by its target, a file by its SHA-256.
+
+    A listing of names alone cannot see a symlink that was replaced by a
+    file of the same name. Symlinked directories are not descended into.
+    """
+    entries = {}
+    for path in sorted(directory.rglob("*")):
+        name = path.relative_to(directory).as_posix()
+        if path.is_symlink():
+            entries[name] = ("symlink", os.readlink(path))
+        elif path.is_dir():
+            entries[name] = ("dir",)
+        else:
+            entries[name] = ("file", hashlib.sha256(path.read_bytes()).hexdigest())
+    return entries

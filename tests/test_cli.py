@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import sys
@@ -23,7 +24,7 @@ from bilevel import (
     save_pgm,
     write_pgm,
 )
-from helpers import bimodal_gray_image, run_cli
+from helpers import bimodal_gray_image, run_cli, snapshot
 
 
 def make_pgm(directory: Path, name: str, width: int, height: int, values) -> Path:
@@ -50,6 +51,20 @@ def fail_rename(monkeypatch, fail_at: int) -> None:
         REAL_REPLACE(src, dst)
 
     monkeypatch.setattr(bilevel.cli.os, "replace", replace)
+
+
+def exit_code(argv: list[str]) -> int:
+    """``bilevel.cli.main``'s exit code, also when it exits through ``SystemExit``."""
+    try:
+        return bilevel.cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+# The -m mean output of in.pgm in the plan table below, as a snapshot entry.
+MEAN_OUT = (
+    "file", hashlib.sha256(write_pgm(BinaryImage.from_flat(4, 1, [0, 0, 255, 255]))).hexdigest()
+)
 
 
 class TestSingleMethodRuns:
@@ -244,6 +259,39 @@ class TestFailureModes:
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "hard.pgm").read_bytes() == original
         assert load_pgm(inp).pixels.tolist() == [[0, 0, 255, 255]]
+
+    @pytest.mark.parametrize(
+        "argv,code,changed,fail_at",
+        [
+            pytest.param("-i link.pgm -o link.pgm", 3, {}, None, id="symlinked-input-as-output"),
+            pytest.param("-i in.pgm -o link.pgm", 0, {"link.pgm": MEAN_OUT}, None,
+                         id="symlink-to-input-is-replaced"),
+            pytest.param("-i in.pgm -o dangling.pgm", 0, {"dangling.pgm": MEAN_OUT}, None,
+                         id="dangling-symlink"),
+            # The dangling link existed before the run, so the rollback leaves its entry.
+            pytest.param("-i in.pgm -o dangling.pgm --report r.json", 1,
+                         {"dangling.pgm": MEAN_OUT}, 1, id="dangling-symlink-failed-commit"),
+            pytest.param("-i missing.pgm -o out.pgm --report out.pgm", 1, {}, None,
+                         id="colliding-outputs-missing-input"),
+            pytest.param("-i bad.pgm -o out.pgm --report out.pgm", 2, {}, None,
+                         id="colliding-outputs-malformed-input"),
+            pytest.param("-i bad.pgm -o bad.pgm", 2, {}, None, id="malformed-input-as-output"),
+            pytest.param("-i in.pgm -o dlink", 1, {}, None, id="directory-behind-symlink"),
+        ],
+    )
+    def test_target_plan_decisions(self, tmp_path, monkeypatch, argv, code, changed, fail_at):
+        make_pgm(tmp_path, "in.pgm", 4, 1, [10, 20, 30, 40])
+        (tmp_path / "bad.pgm").write_bytes(b"P2\n2 2\n255\n0 0 0\n")
+        (tmp_path / "link.pgm").symlink_to("in.pgm")
+        (tmp_path / "dangling.pgm").symlink_to("nowhere.pgm")
+        (tmp_path / "d").mkdir()
+        (tmp_path / "dlink").symlink_to("d", target_is_directory=True)
+        before = snapshot(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        if fail_at is not None:
+            fail_rename(monkeypatch, fail_at)
+        assert exit_code([*argv.split(), "-m", "mean"]) == code
+        assert snapshot(tmp_path) == {**before, **changed}
 
     def test_failed_commit_removes_the_histograms_directory_it_made(self, tmp_path):
         inp = make_pgm(tmp_path, "in.pgm", 4, 1, [10, 20, 30, 40])

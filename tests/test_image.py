@@ -44,11 +44,26 @@ def test_pixels_are_read_only():
         img.pixels[0, 0] = 9
 
 
+def read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
 def test_caller_buffer_not_aliased():
+    # Each pair is (what the caller can still write, what it hands over):
+    # the array itself, a read-only view of it, a read-only array over a bytearray.
     source = np.array([[1, 2], [3, 4]], dtype=np.uint8)
-    img = GrayImage(source)
-    source[0, 0] = 200
-    assert img.pixels[0, 0] == 1
+    owner = bytearray([1, 2, 3, 4])
+    cases = [
+        (source, source),
+        (source, read_only(source.view())),
+        (np.frombuffer(owner, dtype=np.uint8), read_only(np.frombuffer(owner, np.uint8))),
+    ]
+    for writable, handed in cases:
+        img = GrayImage(handed.reshape(2, 2))
+        writable.reshape(-1)[0] = 200
+        assert img.pixels[0, 0] == 1
+        writable.reshape(-1)[0] = 1
 
 
 def test_equality_is_pixelwise():
