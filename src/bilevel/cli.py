@@ -8,6 +8,12 @@ after all payloads are staged.
 Each payload is built only when its temporary file is written and dropped
 right after, so a run holds the input buffer and at most one binary image,
 and a PGM's header and pixels go to the file as two chunks, never joined.
+
+An input that is a regular file of 1 MiB or more is mapped, not copied,
+and a P5 image is a view of the map. Such an input must not be truncated or
+rewritten in place during a run; replacing it by a rename is safe. A
+truncation kills the run with ``SIGBUS``, as ``SIGKILL`` would: no target
+is created or replaced, but temporary files may remain.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import contextlib
 import errno
 import functools
 import itertools
+import mmap
 import os
 import stat
 import sys
@@ -25,7 +32,7 @@ from pathlib import Path
 
 from .histogram import build_histogram
 from .image import GrayImage
-from .pgm import PgmError, _encode_pgm, read_pgm
+from .pgm import PgmError, _decode_pgm, _encode_pgm, read_pgm
 from .report import RunReport, emit_histogram_csv, emit_report
 from .threshold import (
     METHOD_ITERATIVE,
@@ -44,6 +51,9 @@ EXIT_FORMAT = 2
 EXIT_USAGE = 3
 
 METHOD_COMPARE = "compare"
+
+# Inputs this large are mapped; smaller ones cost less to read than to map.
+_MAP_MIN_BYTES = 1 << 20
 
 _EPILOG = """\
 methods:
@@ -150,6 +160,19 @@ def _plan_targets(
     return existing
 
 
+def _read_input(fh, source: os.stat_result) -> bytes | mmap.mmap:
+    """The input's bytes: a read-only map of a regular file of ``_MAP_MIN_BYTES`` or more, else read.
+
+    A pipe, a small file or a file that cannot be mapped is read. The map
+    is never closed: the image may view it, so the last reference unmaps it.
+    """
+    if stat.S_ISREG(source.st_mode) and source.st_size >= _MAP_MIN_BYTES:
+        # ValueError: the file was emptied after the fstat.
+        with contextlib.suppress(OSError, ValueError):
+            return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    return fh.read()
+
+
 def _binary_pgm(image: GrayImage, threshold: float, flavor: str) -> tuple[bytes, memoryview]:
     return _encode_pgm(binarize(image, threshold), flavor)
 
@@ -222,12 +245,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with open(args.input, "rb") as fh:
             source = os.fstat(fh.fileno())
-            data = fh.read()
+            data = _read_input(fh, source)
     except OSError as exc:
         print(f"bilevel: error: cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_IO
     try:
-        image = read_pgm(data)
+        # read_pgm would copy a map. On bytes both decode alike, and read_pgm
+        # keeps the decode visible to tracers that wrap it by name (perfbench).
+        image = read_pgm(data) if isinstance(data, bytes) else _decode_pgm(data)
     except PgmError as exc:
         print(f"bilevel: error: {args.input}: {exc}", file=sys.stderr)
         return EXIT_FORMAT

@@ -23,6 +23,7 @@ failing check goes back over the tokens to find the one it names.
 
 from __future__ import annotations
 
+import mmap
 import os
 from pathlib import Path
 
@@ -127,7 +128,15 @@ def read_pgm(data: bytes) -> GrayImage:
     :class:`TruncatedDataError` when samples are missing, and
     :class:`SampleRangeError` when a plain sample exceeds maxval.
     """
-    data = bytes(data)
+    return _decode_pgm(bytes(data))
+
+
+def _decode_pgm(data: bytes | mmap.mmap) -> GrayImage:
+    """:func:`read_pgm` over a read-only buffer, which a P5 image views without a copy.
+
+    ``data`` must not change while the image lives: ``bytes``, or a
+    read-only map of a file that nobody rewrites in place.
+    """
     magic = data[:2]
     if magic not in (b"P2", b"P5"):
         raise PgmFormatError(f"not an 8-bit PGM file: bad magic {magic!r}")
@@ -153,7 +162,7 @@ def read_pgm(data: bytes) -> GrayImage:
             raise TruncatedDataError(expected, found)
         if found > expected:
             raise PgmFormatError(f"surplus raster data: expected {expected} bytes, found {found}")
-        # A read-only view of the immutable bytes: the raster is never copied.
+        # A read-only view of the immutable buffer: the raster is never copied.
         pixels = np.frombuffer(data, dtype=np.uint8, count=expected, offset=pos + 1)
         return GrayImage._trusted(pixels.reshape(height, width))
 

@@ -92,17 +92,23 @@ def naive_plain_samples(text: bytes, width: int, height: int) -> np.ndarray:
     return np.array(values, dtype=np.uint8).reshape(height, width)
 
 
-def run_cli(args, cwd=None) -> subprocess.CompletedProcess:
-    """Invoke the CLI in a subprocess with the source tree importable."""
+def run_python(args, cwd=None, stdin=None) -> subprocess.CompletedProcess:
+    """Run ``python <args>`` in a subprocess with the source tree importable."""
     env = os.environ.copy()
     env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
-        [sys.executable, "-m", "bilevel", *map(str, args)],
+        [sys.executable, *map(str, args)],
+        stdin=stdin,
         capture_output=True,
         text=True,
         cwd=cwd,
         env=env,
     )
+
+
+def run_cli(args, cwd=None, stdin=None) -> subprocess.CompletedProcess:
+    """Invoke the CLI in a subprocess with the source tree importable."""
+    return run_python(["-m", "bilevel", *args], cwd=cwd, stdin=stdin)
 
 
 def snapshot(directory: Path) -> dict[str, tuple]:
