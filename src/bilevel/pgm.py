@@ -23,13 +23,16 @@ failing check goes back over the tokens to find the one it names.
 
 from __future__ import annotations
 
-import mmap
 import os
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .image import BinaryImage, GrayImage
+
+if TYPE_CHECKING:
+    import mmap
 
 __all__ = [
     "PgmError",
