@@ -202,6 +202,20 @@ _ODD_PIECES = st.sampled_from(
 )
 _SEPARATORS = st.sampled_from([b"", b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c", b"\r\n", b" \n "])
 
+# What may stand between header tokens: runs of whitespace and '#' comments,
+# which end at a line break and may hold any other byte.
+_WHITESPACE_BYTES = st.sampled_from(b" \t\n\r\x0b\x0c")
+_COMMENTS = st.builds(
+    lambda text, end: b"#" + text.replace(b"\n", b"").replace(b"\r", b"") + end,
+    st.binary(max_size=8),
+    st.sampled_from([b"\n", b"\r", b"\r\n"]),
+)
+_FILLERS = st.lists(
+    st.one_of(st.lists(_WHITESPACE_BYTES, min_size=1, max_size=3).map(bytes), _COMMENTS),
+    min_size=1,
+    max_size=3,
+).map(b"".join)
+
 
 def _images(max_side: int):
     return arrays(
@@ -249,6 +263,8 @@ class TestCodecProperties:
     @example(case=(b" 300 1 99999999999999999999", 3, 1))
     @example(case=(b"\x0b7\x0c00008\r", 1, 2))
     @example(case=(b"#7\n8", 1, 1))
+    @example(case=(b"\n", 1, 1))
+    @example(case=(b"", 1, 1))
     def test_plain_decode_matches_reference(self, case):
         raster, width, height = case
         header = b"P2\n%d %d\n255" % (width, height)
@@ -285,6 +301,36 @@ class TestCodecProperties:
         plain = read_pgm(b"P2\n%d %d\n255\n" % (width, height) + body)
         raw = read_pgm(b"P5\n%d %d\n255\n" % (width, height) + pixels.tobytes())
         assert plain == raw == GrayImage(pixels)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        pixels=_images(6),
+        fillers=st.lists(_FILLERS, min_size=4, max_size=4),
+        raw_separator=_WHITESPACE_BYTES,
+    )
+    def test_header_comments_and_whitespace_decode_like_the_bare_file(
+        self, pixels, fillers, raw_separator
+    ):
+        # Fillers after the magic, width and height in both flavors, and
+        # after maxval in P2; P5 allows one whitespace byte there, no comment.
+        image = GrayImage(pixels)
+        height, width = pixels.shape
+        header = b"%s%d%s%d%s255" % (fillers[0], width, fillers[1], height, fillers[2])
+        plain = b"P2" + header + fillers[3] + b" ".join(b"%d" % v for v in pixels.ravel().tolist())
+        raw = b"P5" + header + bytes([raw_separator]) + pixels.tobytes()
+        assert read_pgm(plain) == read_pgm(write_pgm(image, "P2")) == image
+        assert read_pgm(raw) == read_pgm(write_pgm(image, "P5")) == image
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"P5\n1 1\n255#c\n\x07", "expected a single whitespace byte after maxval in P5 header"),
+            (b"P5\n1 1\n255 #c\n\x07", "surplus raster data: expected 1 bytes, found 4"),
+        ],
+    )
+    def test_raw_comment_after_maxval_is_rejected(self, data, message):
+        with pytest.raises(PgmFormatError, match=f"^{message}$"):
+            read_pgm(data)
 
     @settings(max_examples=400, deadline=None)
     @given(
