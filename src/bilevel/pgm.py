@@ -17,8 +17,12 @@ order, and the first failing check names the error: the sample count
 (:class:`TruncatedDataError` or surplus data), then the character set
 (only ASCII digits and whitespace; the first other token is quoted), then
 the range (the first sample above 255 is quoted as written, however many
-digits it has). Each check is whole-buffer work in C or numpy; only a
-failing check goes back over the tokens to find the one it names.
+digits it has). The work runs in another order, character set first,
+because it picks the parse: text of digits and whitespace only is parsed
+once by numpy, whose result also gives the count; other text is split into
+tokens for the count and the first bad token. Each step is whole-buffer
+work in C or numpy; only a failing range check goes back over the tokens
+to find the one it names.
 """
 
 from __future__ import annotations
@@ -52,20 +56,14 @@ FLAVORS = ("P2", "P5")
 _WHITESPACE = b" \t\n\r\x0b\x0c"
 _DIGITS = b"0123456789"
 _HASH = 0x23  # '#'
-_NEWLINE = 0x0A
 
-# bytes.translate table: 1 for every byte that is not whitespace, else 0.
-_NONSPACE_TABLE = bytes(int(byte not in _WHITESPACE) for byte in range(256))
-
-# P2 encoder tables, one entry per sample value: the token b"%d " padded to
-# four bytes, its length, and the mask of its first `length` bytes. Token
-# and mask are stored as one uint32 word each so a pixel gathers each in
-# one step; viewing the gathered words as bytes gives 4 per pixel.
-_TOKENS = [b"%d " % value for value in range(256)]
-_TOKEN_LENGTHS = np.frombuffer(bytes(map(len, _TOKENS)), dtype=np.uint8)
-_TOKEN_WORDS = np.frombuffer(b"".join(t.ljust(4, b"\0") for t in _TOKENS), dtype=np.uint32)
-_TOKEN_MASKS = np.frombuffer(
-    b"".join((b"\1" * len(t)).ljust(4, b"\0") for t in _TOKENS), dtype=np.uint32
+# P2 encoder tables, one entry per sample value: the token b"%d " (and, for
+# the last sample of a row, b"%d\n") NUL-padded to one uint32 word, so a
+# pixel gathers its token in one step. A token holds no NUL, so the nonzero
+# bytes of the gathered words are the body.
+_TOKEN_WORDS, _ROW_END_WORDS = (
+    np.frombuffer(b"".join((b"%d%s" % (v, end)).ljust(4, b"\0") for v in range(256)), np.uint32)
+    for end in (b" ", b"\n")
 )
 
 
@@ -172,32 +170,29 @@ def _decode_pgm(data: bytes | mmap.mmap) -> GrayImage:
     return GrayImage._trusted(_parse_plain_samples(data[pos:], width, height))
 
 
-def _count_tokens(text: bytes) -> int:
-    """``len(text.split())`` without making one bytes object per token.
-
-    The raster opens with the byte that ended the maxval token, whitespace
-    or a comment stripped to a newline, so every token starts at a
-    non-space byte that follows a space.
-    """
-    nonspace = np.frombuffer(text.translate(_NONSPACE_TABLE), dtype=np.bool_)
-    return int(np.count_nonzero(nonspace[1:] > nonspace[:-1]))
-
-
 def _parse_plain_samples(text: bytes, width: int, height: int) -> np.ndarray:
     if _HASH in text:
         text = b"\n".join(line.split(b"#", 1)[0] for line in text.splitlines())
-    found = _count_tokens(text)
+    dirty = text.translate(None, _DIGITS + _WHITESPACE)
+    if dirty:
+        tokens = text.split()
+        found = len(tokens)
+    elif text.isspace():  # fromstring would read blank text as one 0
+        found = 0
+    else:
+        # Text-mode fromstring parses digits and whitespace exactly, one
+        # sample per token; a token beyond int64 saturates and fails the
+        # range check.
+        samples = np.fromstring(text, dtype=np.int64, sep=" ")
+        found = samples.size
     expected = width * height
     if found < expected:
         raise TruncatedDataError(expected, found)
     if found > expected:
         raise PgmFormatError(f"surplus raster data: expected {expected} samples, found {found}")
-    if text.translate(None, _DIGITS + _WHITESPACE):
-        bad = next(token for token in text.split() if not token.isdigit())
+    if dirty:
+        bad = next(token for token in tokens if not token.isdigit())
         raise PgmFormatError(f"invalid sample token {bad.decode('ascii', 'replace')!r}")
-    # Only digits and whitespace remain, which text-mode fromstring parses
-    # exactly; a token beyond int64 saturates and fails the range check.
-    samples = np.fromstring(text, dtype=np.int64, sep=" ")
     if samples.max() > MAXVAL:
         index = int(np.argmax(samples > MAXVAL))
         bad = int(text.split()[index])
@@ -218,10 +213,10 @@ def _encode_pgm(image: GrayImage | BinaryImage, flavor: str = "P5") -> tuple[byt
     pixels = image.pixels
     if flavor == "P5":
         return header, pixels.data
-    body = _TOKEN_WORDS[pixels].view(np.uint8)[_TOKEN_MASKS[pixels].view(np.bool_)]
-    row_ends = np.cumsum(_TOKEN_LENGTHS[pixels].sum(axis=1, dtype=np.intp)) - 1
-    body[row_ends] = _NEWLINE
-    return header, body.data
+    words = _TOKEN_WORDS[pixels]
+    words[:, -1] = _ROW_END_WORDS[pixels[:, -1]]
+    padded = words.view(np.uint8)
+    return header, padded[padded != 0].data
 
 
 def write_pgm(image: GrayImage | BinaryImage, flavor: str = "P5") -> bytes:
