@@ -113,6 +113,11 @@ CASES.update(
         "directory-target": (TINY, MEAN, lambda d: (d / "out.pgm").mkdir()),
         "colliding-outputs": (TINY, [*MEAN, "--report", "out.pgm"], None),
         "output-is-input": (TINY, ["-i", "in.pgm", "-o", "in.pgm", "-m", "mean"], None),
+        "output-is-symlinked-input": (
+            TINY,
+            ["-i", "link.pgm", "-o", "in.pgm", "-m", "mean"],
+            lambda d: (d / "link.pgm").symlink_to("in.pgm"),
+        ),
         "compare-without-report": (TINY, IO, None),
     }
 )
