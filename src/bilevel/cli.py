@@ -14,6 +14,9 @@ and a P5 image is a view of the map. Such an input must not be truncated or
 rewritten in place during a run; replacing it by a rename is safe. A
 truncation kills the run with ``SIGBUS``, as ``SIGKILL`` would: no target
 is created or replaced, but temporary files may remain.
+
+The argument parser is built once per process, on the first call of
+``main``, and reused by every later call.
 """
 
 from __future__ import annotations
@@ -83,6 +86,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+# parse_args and error leave the parser as they found it, and the help
+# formatter reads the terminal width each time it runs, so one parser
+# serves every call.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="bilevel",
@@ -302,13 +309,24 @@ def main(argv: list[str] | None = None) -> int:
         print(f"bilevel: error: cannot write outputs: {exc}", file=sys.stderr)
         return EXIT_IO
 
-    for name in (METHOD_MEAN, METHOD_ITERATIVE):
-        res = results.get(name)
-        if res is not None:
-            print(
-                f"{res.method} estimate={_fmt(res.estimate)} "
-                f"optimum={_fmt(res.optimum)} iterations={len(res.iterations)}"
-            )
+    summary = "".join(
+        f"{res.method} estimate={_fmt(res.estimate)} "
+        f"optimum={_fmt(res.optimum)} iterations={len(res.iterations)}\n"
+        for res in results.values()
+    )
+    try:
+        sys.stdout.write(summary)
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # The reader is gone; the committed outputs stay. Unflushed lines
+        # would fail again at shutdown, so they go to /dev/null instead.
+        with contextlib.suppress(OSError, ValueError):
+            stdout_fd = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, stdout_fd)
+            os.close(devnull)
+        print(f"bilevel: error: cannot write summary: {exc}", file=sys.stderr)
+        return EXIT_IO
     return EXIT_OK
 
 

@@ -4,11 +4,13 @@ Every threshold procedure in this library consumes a histogram rather than
 re-scanning pixels, so the histogram is the sufficient statistic for all
 derived values. Sums are accumulated in exact 64-bit integer arithmetic
 with a single final division, which keeps results independent of pixel
-order and bit-identical to a direct pass over the image.
+order and bit-identical to a direct pass over the image. A histogram whose
+total or intensity-weighted sum would not fit in 64 bits is refused.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +32,12 @@ BIN_COUNT = 256
 # slices of this size keep that temporary at 512 KiB, inside the cache.
 _SLICE_PIXELS = 1 << 16
 
+_INT64_MAX = (1 << 63) - 1
+# While no bin exceeds this, the total and the intensity-weighted sum (at
+# most BIN_COUNT * 255 times it) fit in int64; a larger bin needs the exact
+# check in Python ints.
+_SAFE_BIN_COUNT = _INT64_MAX // (255 * BIN_COUNT)
+
 
 class EmptyInputError(ValueError):
     """Raised when a mean is requested over zero pixels."""
@@ -49,6 +57,10 @@ class Histogram:
             raise ValueError(f"bin counts must be integers, got dtype {arr.dtype}")
         if int(arr.min()) < 0:
             raise ValueError("bin counts must be non-negative")
+        if int(arr.max()) > _SAFE_BIN_COUNT:
+            counts = arr.tolist()
+            if max(sum(counts), sum(map(operator.mul, range(BIN_COUNT), counts))) > _INT64_MAX:
+                raise ValueError("the bin counts' total and intensity-weighted sum must fit in int64")
         object.__setattr__(self, "counts", _frozen(arr, np.int64))
 
     @property

@@ -92,23 +92,27 @@ def naive_plain_samples(text: bytes, width: int, height: int) -> np.ndarray:
     return np.array(values, dtype=np.uint8).reshape(height, width)
 
 
-def run_python(args, cwd=None, stdin=None) -> subprocess.CompletedProcess:
-    """Run ``python <args>`` in a subprocess with the source tree importable."""
+def run_python(args, cwd=None, stdin=None, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    """Run ``python <args>`` in a subprocess with the source tree importable.
+
+    Stderr is captured, and so is stdout unless ``stdout`` names another sink.
+    """
     env = os.environ.copy()
     env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
         [sys.executable, *map(str, args)],
         stdin=stdin,
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         cwd=cwd,
         env=env,
     )
 
 
-def run_cli(args, cwd=None, stdin=None) -> subprocess.CompletedProcess:
+def run_cli(args, cwd=None, stdin=None, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
     """Invoke the CLI in a subprocess with the source tree importable."""
-    return run_python(["-m", "bilevel", *args], cwd=cwd, stdin=stdin)
+    return run_python(["-m", "bilevel", *args], cwd=cwd, stdin=stdin, stdout=stdout)
 
 
 def snapshot(directory: Path) -> dict[str, tuple]:

@@ -351,6 +351,55 @@ class TestFailureModes:
         assert sorted(tmp_path.rglob("*")) == before
 
 
+class TestSummaryOutput:
+    # Buffered, the summary also waits in the buffer that the interpreter
+    # flushes again at exit; unbuffered, only the write itself fails.
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_summary_to_a_closed_pipe_exits_1_and_keeps_the_outputs(
+        self, tmp_path, monkeypatch, unbuffered
+    ):
+        if unbuffered:
+            monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+        else:
+            monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+        make_pgm(tmp_path, "in.pgm", 4, 1, [0, 64, 128, 255])
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the run starts
+        try:
+            argv = ["-i", "in.pgm", "-o", "out.pgm", "-m", "mean", "--report", "r.json"]
+            proc = run_cli(argv, cwd=tmp_path, stdout=write_end)
+        finally:
+            os.close(write_end)
+        # One line, no traceback, nothing "ignored" when the interpreter exits.
+        assert proc.stderr == "bilevel: error: cannot write summary: [Errno 32] Broken pipe\n"
+        assert proc.returncode == 1
+        # The summary follows the commit, so the outputs are complete.
+        assert snapshot(tmp_path)["out.pgm"] == MEAN_OUT
+        assert json.loads((tmp_path / "r.json").read_text())["methods"]["mean"]["optimum"] == 111.75
+        assert no_temp_files(tmp_path)
+
+
+class TestSharedParser:
+    def test_calls_in_one_process_match_fresh_processes(self, tmp_path, monkeypatch, capsys):
+        # main reuses one parser for every call in a process; each call must
+        # still print and exit exactly as the first call of a new process.
+        make_pgm(tmp_path, "in.pgm", 4, 1, [0, 64, 128, 255])
+        monkeypatch.chdir(tmp_path)
+        runs = [
+            (["-i", "in.pgm", "-o", "out.pgm", "-m", "otsu"], "80"),
+            (["--help"], "80"),
+            (["-i", "in.pgm", "-o", "out.pgm", "-m", "mean"], "80"),
+            (["-o", "out.pgm", "--ascii"], "80"),
+            (["--help"], "60"),  # the help text wraps to the width of this call
+        ]
+        for argv, columns in runs:
+            monkeypatch.setenv("COLUMNS", columns)
+            code = exit_code(argv)
+            out, err = capsys.readouterr()
+            fresh = run_cli(argv, cwd=tmp_path)
+            assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+
 class TestMemory:
     @pytest.mark.parametrize(
         "args",

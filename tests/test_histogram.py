@@ -13,6 +13,8 @@ from bilevel import (
 )
 from helpers import naive_class_mean, naive_mean, random_gray_image
 
+INT64_MAX = 2**63 - 1
+
 
 def hist_of(values) -> Histogram:
     return build_histogram(GrayImage.from_flat(len(values), 1, values))
@@ -71,6 +73,48 @@ class TestHistogramType:
         hist = hist_of([1, 2, 3])
         with pytest.raises(ValueError):
             hist.counts[0] = 5
+
+    @pytest.mark.parametrize(
+        "bins, dtype",
+        [
+            ({v: 2**63 for v in range(256)}, np.uint64),  # each bin beyond int64
+            ({v: 2**62 for v in range(256)}, np.int64),  # the total wraps to 0
+            ({0: 1, 255: 2**62}, np.int64),  # the weighted sum wraps negative
+            ({0: INT64_MAX, 1: 1}, np.int64),  # the total is one past the limit
+            ({0: 1, 255: INT64_MAX // 255 + 1}, np.int64),  # and the weighted sum
+            ({0: INT64_MAX, 2: 2**62}, np.uint64),  # both, held in uint64
+            # Every bin fits alone, but not their total or their weighted sum.
+            ({v: INT64_MAX // 256 + 1 for v in range(256)}, np.int64),
+            ({254: INT64_MAX // 300, 255: INT64_MAX // 300}, np.int64),
+        ],
+    )
+    def test_rejects_sums_beyond_int64(self, bins, dtype):
+        counts = np.zeros(256, dtype=dtype)
+        for value, count in bins.items():
+            counts[value] = count
+        with pytest.raises(ValueError, match="int64"):
+            Histogram(counts)
+
+    @pytest.mark.parametrize(
+        "bins",
+        [
+            {0: INT64_MAX},  # the whole total on the bin of weight 0
+            {255: INT64_MAX // 255},  # the largest weighted sum on one bin
+            {0: INT64_MAX - INT64_MAX // 255, 255: INT64_MAX // 255},
+            {v: INT64_MAX // (255 * 256) for v in range(256)},  # no exact check runs
+            {v: INT64_MAX // (255 * 256) + 1 for v in range(256)},  # the exact check runs
+        ],
+    )
+    def test_accepts_sums_up_to_int64_exactly(self, bins):
+        counts = np.zeros(256, dtype=np.uint64)
+        for value, count in bins.items():
+            counts[value] = count
+        hist = Histogram(counts)
+        total = sum(bins.values())
+        weighted = sum(value * count for value, count in bins.items())
+        assert hist.counts.tolist() == counts.tolist()
+        assert hist.total == total
+        assert global_mean(hist) == weighted / total
 
 
 class TestGlobalMean:

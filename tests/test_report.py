@@ -1,9 +1,14 @@
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from bilevel import (
     GrayImage,
+    Histogram,
     RunReport,
     binarize,
     build_histogram,
@@ -17,6 +22,34 @@ from bilevel import (
 
 def image_of(values) -> GrayImage:
     return GrayImage.from_flat(len(values), 1, values)
+
+
+INT64_MAX = 2**63 - 1
+INTEGER_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+
+
+@st.composite
+def _bin_counts(draw) -> np.ndarray:
+    """256 counts of any integer dtype whose total and weighted sum fit in int64.
+
+    Small counts in every bin, then a few bins raised by up to all the room
+    left: up to the dtype's maximum, or the int64 limit of the sums.
+    """
+    dtype = draw(st.sampled_from(INTEGER_DTYPES))
+    top = min(int(np.iinfo(dtype).max), INT64_MAX)
+    counts = draw(arrays(np.int64, 256, elements=st.integers(0, min(top, 1000)))).tolist()
+    total = sum(counts)
+    weighted = sum(value * count for value, count in enumerate(counts))
+    for value in draw(st.lists(st.integers(0, 255), max_size=4)):
+        room = INT64_MAX - total
+        if value:
+            room = min(room, (INT64_MAX - weighted) // value)
+        cap = min(top - counts[value], room)
+        extra = draw(st.just(cap) | st.integers(0, cap))
+        counts[value] += extra
+        total += extra
+        weighted += value * extra
+    return np.array(counts, dtype=dtype)
 
 
 class TestRoundHalfUp:
@@ -140,3 +173,9 @@ class TestEmitHistogramCsv:
     def test_constant_image(self):
         data = emit_histogram_csv(build_histogram(GrayImage.from_flat(3, 3, [7] * 9))).decode()
         assert "7,9" in data.splitlines()
+
+    @settings(max_examples=300, deadline=None)
+    @given(counts=_bin_counts())
+    def test_matches_line_by_line_reference(self, counts):
+        reference = "value,count\n" + "".join(f"{v},{int(c)}\n" for v, c in enumerate(counts))
+        assert emit_histogram_csv(Histogram(counts)) == reference.encode("ascii")
