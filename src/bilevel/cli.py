@@ -5,9 +5,13 @@ input image, 3 bad arguments. On any failure no new output file is left
 behind; every file is written to a temporary name first and renamed only
 after all payloads are staged.
 
-Each payload is built only when its temporary file is written and dropped
-right after, so a run holds the input buffer and at most one binary image,
-and a PGM's header and pixels go to the file as two chunks, never joined.
+Each payload is built only while its temporary file is written. A binary
+output never exists as a whole image: once the histogram has fixed the
+threshold, its rows are binarized block by block into one reused buffer of
+at most ``_BLOCK_PIXELS`` pixels (or one row, if wider) and each block is
+encoded and written before the next is made. So a run holds the input
+buffer and at most one block of one output, and the header and blocks of
+a PGM go to the file as separate chunks, never joined.
 
 An input that is a regular file of 1 MiB or more is mapped, not copied,
 and a P5 image is a view of the map. Such an input must not be truncated or
@@ -29,18 +33,21 @@ import itertools
 import os
 import stat
 import sys
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from .histogram import build_histogram
 from .image import GrayImage
-from .pgm import PgmError, _decode_pgm, _encode_pgm
+from .pgm import PgmError, _decode_pgm, _pgm_body, _pgm_header
 from .report import RunReport, emit_histogram_csv, emit_report
 from .threshold import (
     METHOD_ITERATIVE,
     METHOD_MEAN,
-    binarize,
+    _binarize_into,
+    _split_level,
     binarized_histogram,
     select_iterative,
     select_mean,
@@ -62,6 +69,13 @@ METHOD_COMPARE = "compare"
 # (P5, -m mean, 2-vCPU Xeon), a map cost 8 % more than a read at 256 KiB,
 # broke even at 512 KiB, and saved 4 % at 1 MiB and 20 % at 2 MiB.
 _MAP_MIN_BYTES = 1 << 20
+
+# Pixels per block of a binary output. Smaller P2 blocks let the heap give
+# memory back to the kernel between calls: repeated in one process on a
+# 1024 x 1024 P2 input, 2^16 and 2^18 pixel blocks cost 3210 minor page
+# faults a call, 2^20 (one block there) 10, as whole images did. A
+# 4096 x 4096 P5 output in 2^20 pixel blocks is no slower than whole.
+_BLOCK_PIXELS = 1 << 20
 
 _EPILOG = """\
 methods:
@@ -187,8 +201,23 @@ def _read_input(fh, source: os.stat_result) -> bytes | mmap.mmap:
     return fh.read()
 
 
-def _binary_pgm(image: GrayImage, threshold: float, flavor: str) -> tuple[bytes, memoryview]:
-    return _encode_pgm(binarize(image, threshold), flavor)
+def _binary_pgm(image: GrayImage, threshold: float, flavor: str) -> Iterator[bytes | memoryview]:
+    """The PGM file of ``binarize(image, threshold)``: the header, then one chunk per block of rows.
+
+    Every block is binarized into one buffer, so a P5 chunk, which is that
+    buffer, is valid only until the next chunk is requested: write each
+    chunk before asking for the next.
+    """
+    height, width = image.height, image.width
+    yield _pgm_header(flavor, width, height)
+    level = _split_level(threshold)
+    rows = min(height, max(1, _BLOCK_PIXELS // width))
+    buffer = np.empty((rows, width), np.uint8)
+    for top in range(0, height, rows):
+        block = image.pixels[top : top + rows]
+        # No local keeps the chunk, and the P2 encoder's gather arrays die when
+        # it returns: while a chunk is written, only it and the buffer are alive.
+        yield _pgm_body(_binarize_into(block, level, buffer[: len(block)]), flavor)
 
 
 def _stage_and_commit(
@@ -198,11 +227,12 @@ def _stage_and_commit(
 ) -> None:
     """Write each payload to a temp file, then rename every temp file onto its target.
 
-    A payload is built just before its temp file is written and is dropped
-    once it is written. On any failure, whatever the run made is removed:
-    the temp files, the outputs already renamed onto targets not in
-    ``existing``, and ``hist_dir`` with any parents the run created, while
-    empty. A target that existed before stays replaced.
+    A payload is built chunk by chunk while its temp file is written, and
+    each chunk is written before the next is built. On any failure,
+    whatever the run made is removed: the temp files, the outputs already
+    renamed onto targets not in ``existing``, and ``hist_dir`` with any
+    parents the run created, while empty. A target that existed before
+    stays replaced.
     """
     new_dirs: list[Path] = []  # what mkdir is about to create, deepest first
     staged: list[tuple[Path, Path]] = []

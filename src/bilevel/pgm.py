@@ -200,23 +200,30 @@ def _parse_plain_samples(text: bytes, width: int, height: int) -> np.ndarray:
     return samples.astype(np.uint8).reshape(height, width)
 
 
-def _encode_pgm(image: GrayImage | BinaryImage, flavor: str = "P5") -> tuple[bytes, memoryview]:
-    """The PGM file of ``image`` as two chunks, ``(header, body)``, never joined.
+def _pgm_header(flavor: str, width: int, height: int) -> bytes:
+    """The header of a ``width`` x ``height`` PGM file in ``flavor``, which it checks.
 
-    A P5 body is a view of the image's own read-only pixels, so encoding
-    copies nothing; a P2 body is the token bytes. Writing both chunks in
-    order gives the file :func:`write_pgm` returns.
+    A PGM file is this header followed by :func:`_pgm_body` of its rows,
+    either all at once or as consecutive blocks of whole rows, never joined.
     """
     if flavor not in FLAVORS:
         raise ValueError(f"unknown PGM flavor {flavor!r}: expected one of {FLAVORS}")
-    header = f"{flavor}\n{image.width} {image.height}\n{MAXVAL}\n".encode("ascii")
-    pixels = image.pixels
+    return f"{flavor}\n{width} {height}\n{MAXVAL}\n".encode("ascii")
+
+
+def _pgm_body(pixels: np.ndarray, flavor: str) -> memoryview:
+    """The raster bytes of a 2-D C-contiguous block of whole uint8 rows.
+
+    A P5 body is a view of ``pixels``, so encoding copies nothing; a P2 body
+    is the block's token bytes, one text line per row, and keeps no
+    reference to ``pixels``.
+    """
     if flavor == "P5":
-        return header, pixels.data
+        return pixels.data
     words = _TOKEN_WORDS[pixels]
     words[:, -1] = _ROW_END_WORDS[pixels[:, -1]]
     padded = words.view(np.uint8)
-    return header, padded[padded != 0].data
+    return padded[padded != 0].data
 
 
 def write_pgm(image: GrayImage | BinaryImage, flavor: str = "P5") -> bytes:
@@ -225,8 +232,7 @@ def write_pgm(image: GrayImage | BinaryImage, flavor: str = "P5") -> bytes:
     The header is exactly ``<flavor>\\n<width> <height>\\n255\\n``. P2 output
     puts one image row per text line.
     """
-    header, body = _encode_pgm(image, flavor)
-    return header + body
+    return _pgm_header(flavor, image.width, image.height) + _pgm_body(image.pixels, flavor)
 
 
 def load_pgm(path: str | os.PathLike) -> GrayImage:
@@ -236,6 +242,7 @@ def load_pgm(path: str | os.PathLike) -> GrayImage:
 
 def save_pgm(path: str | os.PathLike, image: GrayImage | BinaryImage, flavor: str = "P5") -> None:
     """Write an image to disk as PGM."""
-    chunks = _encode_pgm(image, flavor)
+    header = _pgm_header(flavor, image.width, image.height)
+    body = _pgm_body(image.pixels, flavor)
     with open(path, "wb") as fh:
-        fh.writelines(chunks)
+        fh.writelines((header, body))

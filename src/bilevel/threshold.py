@@ -100,13 +100,23 @@ def _split_level(threshold: float) -> int:
     return math.floor(t)
 
 
+def _binarize_into(pixels: np.ndarray, level: int, out: np.ndarray) -> np.ndarray:
+    """Write the binary levels of uint8 ``pixels`` into ``out``, a writable uint8 array of their shape.
+
+    A pixel above ``level`` (a ``_split_level`` result) becomes 255, every
+    other pixel 0. The comparison's 0/1 bytes land in ``out`` through its
+    bool view and are scaled in place: in uint8, ``-1`` wraps to 255, and
+    ``negative`` vectorises where a multiply by 255 does not.
+    """
+    np.greater(pixels, np.uint8(level), out=out.view(np.bool_))
+    return np.negative(out, out=out)
+
+
 def binarize(image: GrayImage, threshold: float) -> BinaryImage:
     """Map pixels above the threshold to 255 and all others to 0."""
-    level = np.uint8(_split_level(threshold))
-    # One buffer: the comparison's 0/1 bytes, scaled to 0/255 in place.
-    out = np.greater(image.pixels, level).view(np.uint8)
-    np.multiply(out, np.uint8(255), out=out)
-    return BinaryImage._trusted(out)
+    level = _split_level(threshold)
+    pixels = image.pixels
+    return BinaryImage._trusted(_binarize_into(pixels, level, np.empty(pixels.shape, np.uint8)))
 
 
 def binarized_histogram(hist: Histogram, threshold: float) -> Histogram:

@@ -15,6 +15,7 @@ from bilevel import (
     GrayImage,
     Histogram,
     RunReport,
+    binarize,
     emit_histogram_csv,
     emit_report,
     iterative_optimum_threshold,
@@ -51,6 +52,21 @@ def fail_rename(monkeypatch, fail_at: int) -> None:
         REAL_REPLACE(src, dst)
 
     monkeypatch.setattr(bilevel.cli.os, "replace", replace)
+
+
+def fail_binarize_block(monkeypatch, directory: Path, fail_at: int) -> list[dict]:
+    """Make the ``fail_at``-th block the CLI binarizes raise; return each call's temp-file sizes."""
+    real_binarize_into = bilevel.cli._binarize_into
+    built = []
+
+    def binarize_into(pixels, level, out):
+        built.append({p.name: p.stat().st_size for p in directory.glob(".*.tmp-*")})
+        if len(built) == fail_at:
+            raise RuntimeError("injected encode failure")
+        return real_binarize_into(pixels, level, out)
+
+    monkeypatch.setattr(bilevel.cli, "_binarize_into", binarize_into)
+    return built
 
 
 def exit_code(argv: list[str]) -> int:
@@ -333,21 +349,36 @@ class TestFailureModes:
     ):
         inp = make_pgm(tmp_path, "in.pgm", 4, 1, [10, 20, 30, 40])
         before = sorted(tmp_path.rglob("*"))
-        real_binarize = bilevel.cli.binarize
-        built = []
-
-        def binarize(image, threshold):
-            built.append(threshold)
-            if len(built) == 2:  # the first payload is staged by now
-                raise RuntimeError("injected encode failure")
-            return real_binarize(image, threshold)
-
-        monkeypatch.setattr(bilevel.cli, "binarize", binarize)
+        built = fail_binarize_block(monkeypatch, tmp_path, 2)  # one block per output: payload two
         args = ["-i", str(inp), "-o", str(tmp_path / "out.pgm"), "-m", "compare",
                 "--report", str(tmp_path / "r.json"), "--histograms", str(tmp_path / "h")]
         with pytest.raises(RuntimeError, match="injected encode failure"):
             bilevel.cli.main(args)
         assert len(built) == 2
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("flavor", ["P5", "P2"])
+    def test_exception_after_a_written_block_leaves_listing_unchanged(
+        self, tmp_path, monkeypatch, flavor
+    ):
+        # Rows wider than the file's write buffer reach the temp file as soon
+        # as they are written, so the failure hits a file that holds data.
+        width = 1 << 14
+        image = GrayImage(np.tile(np.arange(256, dtype=np.uint8), (3, width // 256)))
+        save_pgm(tmp_path / "in.pgm", image)
+        before = sorted(tmp_path.rglob("*"))
+        monkeypatch.setattr(bilevel.cli, "_BLOCK_PIXELS", width)  # one row per block
+        built = fail_binarize_block(monkeypatch, tmp_path, 2)
+        args = ["-i", str(tmp_path / "in.pgm"), "-o", str(tmp_path / "out.pgm"), "-m", "mean"]
+        if flavor == "P2":
+            args.append("--ascii")
+        with pytest.raises(RuntimeError, match="injected encode failure"):
+            bilevel.cli.main(args)
+        expected = write_pgm(binarize(image, mean_threshold(image).optimum), flavor)
+        header = len(f"{flavor}\n{width} 3\n255\n")
+        first_row = width if flavor == "P5" else expected.index(b"\n", header) + 1 - header
+        # The second block failed with the header and the first block in the temp file.
+        assert list(built[1].values()) == [header + first_row]
         assert sorted(tmp_path.rglob("*")) == before
 
 
@@ -401,6 +432,20 @@ class TestSharedParser:
 
 
 class TestMemory:
+    @staticmethod
+    def traced_peak(tmp_path, monkeypatch, image: GrayImage, args: list[str]) -> int:
+        """``tracemalloc``'s peak over one CLI call on ``image``, after a first untraced call."""
+        save_pgm(tmp_path / "in.pgm", image)
+        monkeypatch.chdir(tmp_path)
+        argv = ["-i", "in.pgm", "-o", "out.pgm", *args]
+        assert bilevel.cli.main(argv) == 0  # first-use set-up stays out of the peak
+        tracemalloc.start()
+        try:
+            assert bilevel.cli.main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     @pytest.mark.parametrize(
         "args",
         [["-m", "iterative"], ["-m", "compare", "--report", "r.json", "--histograms", "h"]],
@@ -410,17 +455,50 @@ class TestMemory:
         # or copied payloads would add a third.
         rng = np.random.default_rng(5)
         image = GrayImage(rng.integers(0, 256, size=(1024, 1024), dtype=np.uint8))
+        assert self.traced_peak(tmp_path, monkeypatch, image, args) <= 2.5 * image.pixels.nbytes
+        capsys.readouterr()
+
+    def test_peak_of_a_four_block_output_stays_under_half_an_image(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # A mapped input is not traced, and each output is written one
+        # 1 Mpixel block at a time: a whole binary image would be 4 MiB.
+        rng = np.random.default_rng(6)
+        image = GrayImage(rng.integers(0, 256, size=(2048, 2048), dtype=np.uint8))
+        peak = self.traced_peak(tmp_path, monkeypatch, image, ["-m", "compare", "--report", "r.json"])
+        assert peak <= 0.5 * image.pixels.nbytes
+        capsys.readouterr()
+
+
+class TestBlocks:
+    # With 16-pixel blocks: width 1 (16 rows a block), wider than a block
+    # and as wide as one (a row each), and 7 rows of 3-row blocks.
+    @pytest.mark.parametrize("height,width", [(37, 1), (3, 20), (5, 16), (7, 5)])
+    @pytest.mark.parametrize("flavor", ["P5", "P2"])
+    def test_multi_block_outputs_match_the_whole_image_encoding(
+        self, tmp_path, monkeypatch, capsys, height, width, flavor
+    ):
+        rng = np.random.default_rng(height * width)
+        image = GrayImage(rng.integers(0, 256, size=(height, width), dtype=np.uint8))
         save_pgm(tmp_path / "in.pgm", image)
+        monkeypatch.setattr(bilevel.cli, "_BLOCK_PIXELS", 16)
         monkeypatch.chdir(tmp_path)
-        argv = ["-i", "in.pgm", "-o", "out.pgm", *args]
-        assert bilevel.cli.main(argv) == 0  # first-use set-up stays out of the peak
-        tracemalloc.start()
-        try:
+        thresholds = {
+            "mean": mean_threshold(image).optimum,
+            "iter": iterative_optimum_threshold(image).optimum,
+        }
+        runs = {
+            "mean": {"mean.pgm": thresholds["mean"]},
+            "iterative": {"iterative.pgm": thresholds["iter"]},
+            "compare": {f"compare.{tag}.pgm": t for tag, t in thresholds.items()},
+        }
+        for method, outputs in runs.items():
+            argv = ["-i", "in.pgm", "-o", f"{method}.pgm", "-m", method, "--report", "r.json"]
+            if flavor == "P2":
+                argv.append("--ascii")
             assert bilevel.cli.main(argv) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.5 * image.pixels.nbytes
+            for name, t in outputs.items():
+                assert (tmp_path / name).read_bytes() == write_pgm(binarize(image, t), flavor)
         capsys.readouterr()
 
 
