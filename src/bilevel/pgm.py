@@ -6,28 +6,31 @@ than rescaled. Writing then reading an image reproduces it exactly, in
 either flavor, and any file whose declared pixel count disagrees with its
 payload is rejected instead of being padded or clipped.
 
-Header grammar: magic, then three decimal tokens (width, height, maxval)
-separated by whitespace, with ``#`` comments allowed between tokens. A P5
-raster starts one byte after the maxval token; a P2 raster is a run of
-whitespace-separated decimal samples, one image row per line when written
-by this module.
+Header grammar, the compiled pattern ``_HEADER``: magic, then three decimal
+tokens (width, height, maxval), each after filler: whitespace or a ``#``
+comment, which runs to the end of its line (CR or LF) and, as ``_COMMENT``,
+is also stripped from a P2 raster. A token of more than 20 significant
+digits is refused. A P5 raster starts one byte after the maxval token; a P2
+raster is a run of whitespace-separated decimal samples, one image row per
+line when written by this module.
 
-A P2 raster, once its ``#`` comments are stripped, is checked in a fixed
-order, and the first failing check names the error: the sample count
-(:class:`TruncatedDataError` or surplus data), then the character set
-(only ASCII digits and whitespace; the first other token is quoted), then
-the range (the first sample above 255 is quoted as written, however many
-digits it has). The work runs in another order, character set first,
-because it picks the parse: text of digits and whitespace only is parsed
-once by numpy, whose result also gives the count; other text is split into
-tokens for the count and the first bad token. Each step is whole-buffer
-work in C or numpy; only a failing range check goes back over the tokens
-to find the one it names.
+A P2 raster, once its comments are stripped, is checked in a fixed order,
+and the first failing check names the error: the sample count
+(:class:`TruncatedDataError` or surplus data), then the character set (only
+ASCII digits and whitespace; the first other token is quoted), then the
+range (the first sample above 255 is quoted without its leading zeros,
+however many digits it has). The work runs in another order, character set
+first, because it picks the parse: text of digits and whitespace only is
+parsed once by numpy, whose result also gives the count; other text is
+split into tokens for the count and the first bad token. Each step is
+whole-buffer work in C or numpy; only a failing range check goes back over
+the tokens to find the one it names.
 """
 
 from __future__ import annotations
 
 import os
+import re
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -56,6 +59,15 @@ FLAVORS = ("P2", "P5")
 _WHITESPACE = b" \t\n\r\x0b\x0c"
 _DIGITS = b"0123456789"
 _HASH = 0x23  # '#'
+_MAX_HEADER_DIGITS = 20
+
+# Whitespace, '#' and token bytes are disjoint classes and a token may be
+# empty (only at the end of the data), so any bytes match in one pass.
+_COMMENT = re.compile(rb"#[^\r\n]*")
+_HEADER = re.compile(
+    3 * rb"(?:[%(space)s]|%(comment)s)*([^%(space)s#]*)"
+    % {b"space": re.escape(_WHITESPACE), b"comment": _COMMENT.pattern}
+)
 
 # P2 encoder tables, one entry per sample value: the token b"%d " (and, for
 # the last sample of a row, b"%d\n") NUL-padded to one uint32 word, so a
@@ -92,35 +104,6 @@ class SampleRangeError(PgmError):
     """A plain-format sample exceeds the declared maxval."""
 
 
-def _skip_filler(data: bytes, pos: int) -> int:
-    # Whitespace and '#'-to-end-of-line comments separate header tokens.
-    n = len(data)
-    while pos < n:
-        c = data[pos]
-        if c in _WHITESPACE:
-            pos += 1
-        elif c == _HASH:
-            while pos < n and data[pos] not in b"\r\n":
-                pos += 1
-        else:
-            break
-    return pos
-
-
-def _next_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
-    pos = _skip_filler(data, pos)
-    start = pos
-    n = len(data)
-    while pos < n and data[pos] not in _WHITESPACE and data[pos] != _HASH:
-        pos += 1
-    token = data[start:pos]
-    if not token:
-        raise PgmFormatError(f"unexpected end of header while reading {what}")
-    if not token.isdigit():
-        raise PgmFormatError(f"invalid {what} token {token.decode('ascii', 'replace')!r} in header")
-    return int(token), pos
-
-
 def read_pgm(data: bytes) -> GrayImage:
     """Decode P2/P5 bytes into a :class:`GrayImage`.
 
@@ -144,9 +127,18 @@ def _decode_pgm(data: bytes | mmap.mmap) -> GrayImage:
     if len(data) > 2 and data[2] not in _WHITESPACE and data[2] != _HASH:
         raise PgmFormatError(f"not an 8-bit PGM file: bad magic {data[:3]!r}")
 
-    width, pos = _next_int(data, 2, "width")
-    height, pos = _next_int(data, pos, "height")
-    maxval, pos = _next_int(data, pos, "maxval")
+    header = _HEADER.match(data, 2)
+    values = []
+    for what, token in zip(("width", "height", "maxval"), header.groups()):
+        if not token:
+            raise PgmFormatError(f"unexpected end of header while reading {what}")
+        if not token.isdigit():
+            raise PgmFormatError(f"invalid {what} token {token.decode('ascii', 'replace')!r} in header")
+        if len(token.lstrip(b"0")) > _MAX_HEADER_DIGITS:
+            raise PgmFormatError(f"{what} in header has more than {_MAX_HEADER_DIGITS} significant digits")
+        values.append(int(token))
+    width, height, maxval = values
+    pos = header.end()
     if width < 1 or height < 1:
         raise PgmFormatError(f"invalid image dimensions {width}x{height}")
     if maxval != MAXVAL:
@@ -172,7 +164,7 @@ def _decode_pgm(data: bytes | mmap.mmap) -> GrayImage:
 
 def _parse_plain_samples(text: bytes, width: int, height: int) -> np.ndarray:
     if _HASH in text:
-        text = b"\n".join(line.split(b"#", 1)[0] for line in text.splitlines())
+        text = _COMMENT.sub(b"", text)
     dirty = text.translate(None, _DIGITS + _WHITESPACE)
     if dirty:
         tokens = text.split()
@@ -195,7 +187,7 @@ def _parse_plain_samples(text: bytes, width: int, height: int) -> np.ndarray:
         raise PgmFormatError(f"invalid sample token {bad.decode('ascii', 'replace')!r}")
     if samples.max() > MAXVAL:
         index = int(np.argmax(samples > MAXVAL))
-        bad = int(text.split()[index])
+        bad = text.split()[index].lstrip(b"0").decode("ascii")
         raise SampleRangeError(f"sample value {bad} exceeds maxval {MAXVAL}")
     return samples.astype(np.uint8).reshape(height, width)
 

@@ -30,7 +30,8 @@ _CSV_TEMPLATE = b"value,count\n" + b"".join(b"%d,%%d\n" % value for value in ran
 
 def round_half_up(value: float) -> int:
     """Round to the nearest integer with halves going up (127.5 -> 128)."""
-    return math.floor(value + 0.5)
+    floor = math.floor(value)
+    return floor + (value - floor >= 0.5)  # value + 0.5 could round up first
 
 
 @dataclass(frozen=True)

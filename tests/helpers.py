@@ -17,6 +17,15 @@ from bilevel import GrayImage, PgmFormatError, SampleRangeError, TruncatedDataEr
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
+# Digit runs past Python's default int/str conversion limit (4300 digits):
+# read_pgm must refuse each with a PgmError, on any interpreter.
+OVERLONG_DIGIT_INPUTS = {
+    "sample": b"P2 1 1 255 " + b"9" * 5000,
+    "width": b"P2 " + b"9" * 5000 + b" 1 255 0",
+    "width-times-height": b"P5 " + b"9" * 4000 + b" " + b"9" * 4000 + b" 255 ",
+    "maxval": b"P2 1 1 " + b"9" * 4400 + b" 0",
+}
+
 
 def random_gray_image(rng: np.random.Generator, max_side: int = 64) -> GrayImage:
     """Uniform random image with side lengths drawn from [1, max_side]."""

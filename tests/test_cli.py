@@ -25,7 +25,7 @@ from bilevel import (
     save_pgm,
     write_pgm,
 )
-from helpers import bimodal_gray_image, run_cli, snapshot
+from helpers import OVERLONG_DIGIT_INPUTS, bimodal_gray_image, run_cli, snapshot
 
 
 def make_pgm(directory: Path, name: str, width: int, height: int, values) -> Path:
@@ -189,6 +189,18 @@ class TestFailureModes:
         proc = run_cli(["-i", bad, "-o", out, "-m", "mean"])
         assert proc.returncode == 2
         assert "truncated" in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", sorted(OVERLONG_DIGIT_INPUTS))
+    def test_overlong_digit_run_exits_2_with_one_error_line(self, tmp_path, name):
+        bad = tmp_path / "bad.pgm"
+        bad.write_bytes(OVERLONG_DIGIT_INPUTS[name])
+        out = tmp_path / "out.pgm"
+        proc = run_cli(["-i", bad, "-o", out, "-m", "mean"])
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("bilevel: error: ")
+        assert "Traceback" not in proc.stderr
         assert not out.exists()
 
     def test_unknown_method_exits_3(self, tmp_path):

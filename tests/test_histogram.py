@@ -63,6 +63,10 @@ class TestHistogramType:
         with pytest.raises(ValueError, match="256"):
             Histogram(np.zeros(255, dtype=np.int64))
 
+    def test_rejects_float_counts(self):
+        with pytest.raises(ValueError, match="integers"):
+            Histogram(np.zeros(256, dtype=np.float64))
+
     def test_rejects_negative_counts(self):
         counts = np.zeros(256, dtype=np.int64)
         counts[3] = -1

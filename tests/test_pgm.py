@@ -17,7 +17,7 @@ from bilevel import (
     read_pgm,
     write_pgm,
 )
-from helpers import naive_plain_samples, random_gray_image
+from helpers import OVERLONG_DIGIT_INPUTS, naive_plain_samples, random_gray_image
 
 
 class TestReadPgm:
@@ -90,6 +90,11 @@ class TestReadPgmRejections:
         with pytest.raises(TruncatedDataError):
             read_pgm(b"P5\n2 2\n255\n")
 
+    def test_raw_header_ending_at_maxval(self):
+        with pytest.raises(TruncatedDataError) as excinfo:
+            read_pgm(b"P5\n2 2\n255")
+        assert (excinfo.value.expected, excinfo.value.found) == (4, 0)
+
     @pytest.mark.parametrize("sample", ["256", "99999999999999999999"])
     def test_plain_sample_above_maxval(self, sample):
         with pytest.raises(SampleRangeError, match=sample):
@@ -124,6 +129,26 @@ class TestReadPgmRejections:
     def test_non_numeric_header_token(self):
         with pytest.raises(PgmFormatError, match="width"):
             read_pgm(b"P2\nwide 1\n255\n0\n")
+
+    @pytest.mark.parametrize("name", sorted(OVERLONG_DIGIT_INPUTS))
+    def test_digit_runs_past_int_limits(self, name):
+        error, message = {
+            "sample": (SampleRangeError, f"sample value {'9' * 5000} exceeds maxval 255"),
+            "width": (PgmFormatError, "width in header has more than 20 significant digits"),
+            "width-times-height": (PgmFormatError, "width in header has more than 20 significant digits"),
+            "maxval": (PgmFormatError, "maxval in header has more than 20 significant digits"),
+        }[name]
+        with pytest.raises(error) as excinfo:
+            read_pgm(OVERLONG_DIGIT_INPUTS[name])
+        assert str(excinfo.value) == message
+
+    def test_header_token_length_counts_significant_digits(self):
+        padded = b"0" * 30
+        assert read_pgm(b"P2 %s1 %s1 %s255 7" % (padded, padded, padded)).pixels.tolist() == [[7]]
+        with pytest.raises(TruncatedDataError):
+            read_pgm(b"P5 1%s 1 255 " % (b"0" * 19))
+        with pytest.raises(PgmFormatError, match="^height in header has more than 20"):
+            read_pgm(b"P5 1 1%s 255 " % (b"0" * 20))
 
     def test_all_rejections_are_pgm_errors(self):
         corpus = [

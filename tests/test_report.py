@@ -60,6 +60,22 @@ class TestRoundHalfUp:
     def test_halves_go_up(self, value, expected):
         assert round_half_up(value) == expected
 
+    # value + 0.5 rounds to the even float before floor sees it: the largest
+    # double below 0.5 and an odd integer above 2**52 both went up.
+    @pytest.mark.parametrize(
+        "value,expected",
+        [
+            (0.49999999999999994, 0),
+            (4503599627370497.0, 4503599627370497),
+            (127.5, 128),
+            (2.5, 3),
+            (-0.5, 0),
+        ],
+    )
+    def test_float_edges(self, value, expected):
+        result = round_half_up(value)
+        assert result == expected and type(result) is int
+
 
 class TestRunReport:
     def test_requires_at_least_one_result(self):
