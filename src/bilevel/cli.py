@@ -70,11 +70,10 @@ METHOD_COMPARE = "compare"
 # broke even at 512 KiB, and saved 4 % at 1 MiB and 20 % at 2 MiB.
 _MAP_MIN_BYTES = 1 << 20
 
-# Pixels per block of a binary output. Smaller P2 blocks let the heap give
-# memory back to the kernel between calls: repeated in one process on a
-# 1024 x 1024 P2 input, 2^16 and 2^18 pixel blocks cost 3210 minor page
-# faults a call, 2^20 (one block there) 10, as whole images did. A
-# 4096 x 4096 P5 output in 2^20 pixel blocks is no slower than whole.
+# Pixels per block of a binary output. A 4096 x 4096 P5 output in 2^20 pixel
+# blocks is no slower than whole. A P2 block is encoded in sub-blocks of
+# pgm._SUB_BLOCK_PIXELS through buffers reused within the block, so the
+# block size does not set the P2 encoder's temporaries.
 _BLOCK_PIXELS = 1 << 20
 
 _EPILOG = """\
@@ -202,11 +201,12 @@ def _read_input(fh, source: os.stat_result) -> bytes | mmap.mmap:
 
 
 def _binary_pgm(image: GrayImage, threshold: float, flavor: str) -> Iterator[bytes | memoryview]:
-    """The PGM file of ``binarize(image, threshold)``: the header, then one chunk per block of rows.
+    """The PGM file of ``binarize(image, threshold)``: the header, then each block's body chunks.
 
     Every block is binarized into one buffer, so a P5 chunk, which is that
     buffer, is valid only until the next chunk is requested: write each
-    chunk before asking for the next.
+    chunk before asking for the next. A P2 block comes as the chunks of its
+    sub-blocks (see :func:`pgm._pgm_body`).
     """
     height, width = image.height, image.width
     yield _pgm_header(flavor, width, height)
@@ -215,9 +215,7 @@ def _binary_pgm(image: GrayImage, threshold: float, flavor: str) -> Iterator[byt
     buffer = np.empty((rows, width), np.uint8)
     for top in range(0, height, rows):
         block = image.pixels[top : top + rows]
-        # No local keeps the chunk, and the P2 encoder's gather arrays die when
-        # it returns: while a chunk is written, only it and the buffer are alive.
-        yield _pgm_body(_binarize_into(block, level, buffer[: len(block)]), flavor)
+        yield from _pgm_body(_binarize_into(block, level, buffer[: len(block)]), flavor)
 
 
 def _stage_and_commit(

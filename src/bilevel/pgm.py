@@ -14,7 +14,16 @@ digits is refused. A P5 raster starts one byte after the maxval token; a P2
 raster is a run of whitespace-separated decimal samples, one image row per
 line when written by this module.
 
-A P2 raster, once its comments are stripped, is checked in a fixed order,
+A P2 raster is parsed from the input buffer in place, in slices of about
+``_SLICE_BYTES``, each ending just after a whitespace byte, so no token is
+split and the raster is not copied whole. A slice of ASCII digits and
+whitespace only is parsed by numpy, and its samples are counted and
+range-checked before they are written into the image. Anything else (a
+``#``, another byte, a sample above 255, a count that is too high or too
+low, or a raster too short to hold the declared samples) sends the whole
+raster to the whole-buffer parse, which names the error.
+
+That parse strips the comments and checks the raster in a fixed order,
 and the first failing check names the error: the sample count
 (:class:`TruncatedDataError` or surplus data), then the character set (only
 ASCII digits and whitespace; the first other token is quoted), then the
@@ -25,12 +34,17 @@ parsed once by numpy, whose result also gives the count; other text is
 split into tokens for the count and the first bad token. Each step is
 whole-buffer work in C or numpy; only a failing range check goes back over
 the tokens to find the one it names.
+
+A P2 body is encoded in sub-blocks of about ``_SUB_BLOCK_PIXELS`` pixels
+through buffers reused from one sub-block to the next, and each sub-block's
+bytes are a chunk of their own.
 """
 
 from __future__ import annotations
 
 import os
 import re
+from collections.abc import Iterator
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -68,6 +82,17 @@ _HEADER = re.compile(
     3 * rb"(?:[%(space)s]|%(comment)s)*([^%(space)s#]*)"
     % {b"space": re.escape(_WHITESPACE), b"comment": _COMMENT.pattern}
 )
+_SPACE = re.compile(rb"[%s]" % re.escape(_WHITESPACE))
+
+# Nominal bytes per slice of a P2 raster. A slice's int64 samples (at most
+# one per two bytes) then take at most 128 KiB, glibc's default mmap
+# threshold, like the P2 encoder's largest sub-block temporary.
+_SLICE_BYTES = 1 << 15
+
+# Pixels per sub-block of a P2 body. np.take turns a sub-block's uint8
+# indices into a 128 KiB intp array, and the word buffer and the mask take
+# 64 KiB each.
+_SUB_BLOCK_PIXELS = 1 << 14
 
 # P2 encoder tables, one entry per sample value: the token b"%d " (and, for
 # the last sample of a row, b"%d\n") NUL-padded to one uint32 word, so a
@@ -159,7 +184,44 @@ def _decode_pgm(data: bytes | mmap.mmap) -> GrayImage:
         pixels = np.frombuffer(data, dtype=np.uint8, count=expected, offset=pos + 1)
         return GrayImage._trusted(pixels.reshape(height, width))
 
-    return GrayImage._trusted(_parse_plain_samples(data[pos:], width, height))
+    return GrayImage._trusted(_parse_plain_raster(data, pos, width, height))
+
+
+def _parse_plain_raster(data: bytes | mmap.mmap, pos: int, width: int, height: int) -> np.ndarray:
+    """The samples of the P2 raster ``data[pos:]``, parsed slice by slice.
+
+    Any anomaly hands the whole raster to :func:`_parse_plain_samples`,
+    which raises the error it names (or, for comments, parses it).
+    """
+    expected = width * height
+    end = len(data)
+    # N samples need N tokens and N - 1 separators; with fewer bytes the
+    # count check fails, and the image is never allocated.
+    if end - pos >= 2 * expected - 1:
+        pixels = np.empty(expected, np.uint8)
+        found = 0
+        start = pos
+        while start < end:
+            stop = start + _SLICE_BYTES
+            if stop < end:
+                space = _SPACE.search(data, stop)
+                stop = space.end() if space else end
+            text = data[start:stop]
+            start = stop
+            if text.translate(None, _DIGITS + _WHITESPACE):
+                break
+            if text.isspace():  # fromstring would read blank text as one 0
+                continue
+            samples = np.fromstring(text, dtype=np.int64, sep=" ")
+            count = found + samples.size
+            if count > expected or samples.max() > MAXVAL:
+                break
+            pixels[found:count] = samples
+            found = count
+        else:
+            if found == expected:
+                return pixels.reshape(height, width)
+    return _parse_plain_samples(data[pos:], width, height)
 
 
 def _parse_plain_samples(text: bytes, width: int, height: int) -> np.ndarray:
@@ -203,19 +265,30 @@ def _pgm_header(flavor: str, width: int, height: int) -> bytes:
     return f"{flavor}\n{width} {height}\n{MAXVAL}\n".encode("ascii")
 
 
-def _pgm_body(pixels: np.ndarray, flavor: str) -> memoryview:
-    """The raster bytes of a 2-D C-contiguous block of whole uint8 rows.
+def _pgm_body(pixels: np.ndarray, flavor: str) -> Iterator[memoryview]:
+    """The raster bytes of a 2-D C-contiguous block of whole uint8 rows, as chunks.
 
-    A P5 body is a view of ``pixels``, so encoding copies nothing; a P2 body
-    is the block's token bytes, one text line per row, and keeps no
-    reference to ``pixels``.
+    The one P5 chunk is a view of ``pixels``, so encoding copies nothing.
+    P2 chunks are the token bytes of consecutive sub-blocks of whole rows
+    (one row, if a row is wider than ``_SUB_BLOCK_PIXELS``), one text line
+    per row. Each is gathered through a word buffer and a mask reused for
+    every sub-block, and keeps no reference to either or to ``pixels``.
     """
     if flavor == "P5":
-        return pixels.data
-    words = _TOKEN_WORDS[pixels]
-    words[:, -1] = _ROW_END_WORDS[pixels[:, -1]]
-    padded = words.view(np.uint8)
-    return padded[padded != 0].data
+        yield pixels.data
+        return
+    height, width = pixels.shape
+    rows = min(height, max(1, _SUB_BLOCK_PIXELS // width))
+    words = np.empty((rows, width), np.uint32)
+    nonzero = np.empty((rows, 4 * width), np.bool_)
+    for top in range(0, height, rows):
+        block = pixels[top : top + rows]
+        gathered = words[: len(block)]
+        # mode="raise" would gather into a temporary copy of gathered.
+        np.take(_TOKEN_WORDS, block, out=gathered, mode="clip")
+        gathered[:, -1] = _ROW_END_WORDS[block[:, -1]]
+        padded = gathered.view(np.uint8)
+        yield padded[np.not_equal(padded, 0, out=nonzero[: len(block)])].data
 
 
 def write_pgm(image: GrayImage | BinaryImage, flavor: str = "P5") -> bytes:
@@ -224,7 +297,8 @@ def write_pgm(image: GrayImage | BinaryImage, flavor: str = "P5") -> bytes:
     The header is exactly ``<flavor>\\n<width> <height>\\n255\\n``. P2 output
     puts one image row per text line.
     """
-    return _pgm_header(flavor, image.width, image.height) + _pgm_body(image.pixels, flavor)
+    header = _pgm_header(flavor, image.width, image.height)
+    return b"".join((header, *_pgm_body(image.pixels, flavor)))
 
 
 def load_pgm(path: str | os.PathLike) -> GrayImage:
@@ -235,6 +309,6 @@ def load_pgm(path: str | os.PathLike) -> GrayImage:
 def save_pgm(path: str | os.PathLike, image: GrayImage | BinaryImage, flavor: str = "P5") -> None:
     """Write an image to disk as PGM."""
     header = _pgm_header(flavor, image.width, image.height)
-    body = _pgm_body(image.pixels, flavor)
     with open(path, "wb") as fh:
-        fh.writelines((header, body))
+        fh.write(header)
+        fh.writelines(_pgm_body(image.pixels, flavor))

@@ -445,9 +445,11 @@ class TestSharedParser:
 
 class TestMemory:
     @staticmethod
-    def traced_peak(tmp_path, monkeypatch, image: GrayImage, args: list[str]) -> int:
+    def traced_peak(
+        tmp_path, monkeypatch, image: GrayImage, args: list[str], flavor: str = "P5"
+    ) -> int:
         """``tracemalloc``'s peak over one CLI call on ``image``, after a first untraced call."""
-        save_pgm(tmp_path / "in.pgm", image)
+        save_pgm(tmp_path / "in.pgm", image, flavor)
         monkeypatch.chdir(tmp_path)
         argv = ["-i", "in.pgm", "-o", "out.pgm", *args]
         assert bilevel.cli.main(argv) == 0  # first-use set-up stays out of the peak
@@ -479,6 +481,18 @@ class TestMemory:
         image = GrayImage(rng.integers(0, 256, size=(2048, 2048), dtype=np.uint8))
         peak = self.traced_peak(tmp_path, monkeypatch, image, ["-m", "compare", "--report", "r.json"])
         assert peak <= 0.5 * image.pixels.nbytes
+        capsys.readouterr()
+
+    def test_plain_text_codec_works_in_bounded_memory(self, tmp_path, monkeypatch, capsys):
+        # A mapped 1024 x 1024 P2 input is decoded slice by slice into the
+        # 1 MiB image, and the output is binarized into one 1 MiB block and
+        # encoded sub-block by sub-block. Whole-buffer decoding (a raster
+        # copy and int64 samples) and encoding (gather words, their mask and
+        # the body) would peak above 13 MiB.
+        rng = np.random.default_rng(7)
+        image = GrayImage(rng.integers(0, 256, size=(1024, 1024), dtype=np.uint8))
+        peak = self.traced_peak(tmp_path, monkeypatch, image, ["-m", "iterative", "--ascii"], "P2")
+        assert peak <= 4 * 2**20
         capsys.readouterr()
 
 

@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import bilevel.cli
+import bilevel.pgm
 from bilevel import (
     BinaryImage,
     GrayImage,
@@ -14,7 +17,9 @@ from bilevel import (
     SampleRangeError,
     TruncatedDataError,
     UnsupportedDepthError,
+    binarize,
     read_pgm,
+    save_pgm,
     write_pgm,
 )
 from helpers import OVERLONG_DIGIT_INPUTS, naive_plain_samples, random_gray_image
@@ -266,6 +271,36 @@ def _plain_rasters(draw):
     return body, width, height
 
 
+@st.composite
+def _sliced_rasters(draw):
+    """(raster, width, height) for the slice-wise decoder, often many slices long.
+
+    The raster opens as in :func:`_plain_rasters`. Separators include a run of all six whitespace bytes; pieces include
+    zero-padded samples above 255. No pieces gives a blank raster.
+    """
+    opening = draw(st.sampled_from([b"\n", b" \t\n\r\x0b\x0c", b"\r\n", b"#c\n", b"#"]))
+    pieces = draw(
+        st.lists(
+            st.one_of(
+                _SAMPLE_TOKENS,
+                _SAMPLE_TOKENS,
+                _ODD_PIECES,
+                st.tuples(st.integers(256, 10**30), st.integers(4, 32)).map(
+                    lambda vw: b"%0*d" % (vw[1], vw[0])
+                ),
+            ),
+            max_size=40,
+        )
+    )
+    separators = st.one_of(_SEPARATORS, st.just(b" \t\n\r\x0b\x0c"))
+    seps = draw(st.lists(separators, min_size=len(pieces) + 1, max_size=len(pieces) + 1))
+    body = opening + seps[0] + b"".join(piece + sep for piece, sep in zip(pieces, seps[1:]))
+    width = draw(st.integers(1, 6))
+    exact = max(1, len(pieces) // width)
+    height = draw(st.one_of(st.just(exact), st.integers(max(1, exact - 1), exact + 1), st.integers(1, 8)))
+    return body, width, height
+
+
 def decode_outcome(decode, *args):
     """(image pixels, None) on success, else (exception class, message)."""
     try:
@@ -279,6 +314,51 @@ def naive_plain_encoding(pixels: np.ndarray) -> bytes:
     height, width = pixels.shape
     rows = "".join(" ".join(map(str, row)) + "\n" for row in pixels.tolist())
     return f"P2\n{width} {height}\n255\n".encode() + rows.encode()
+
+
+class TestSlicedCodec:
+    @settings(max_examples=600, deadline=None)
+    @given(case=_sliced_rasters(), slice_bytes=st.integers(1, 64))
+    @example(case=(b" 1 2\r\n3 4 ", 2, 2), slice_bytes=1)
+    @example(case=(b"\n  \t\n", 1, 1), slice_bytes=2)
+    @example(case=(b"\n1 2 3 4 5", 2, 2), slice_bytes=3)
+    @example(case=(b"\n1 2 3", 2, 2), slice_bytes=3)
+    @example(case=(b"\n1 2 00000000000000000000000000256 3", 2, 2), slice_bytes=4)
+    @example(case=(b"\n1 2 # 3\n4 5", 2, 2), slice_bytes=5)
+    def test_sliced_decode_matches_the_whole_buffer_parse(self, case, slice_bytes):
+        raster, width, height = case
+        data = b"P2\n%d %d\n255" % (width, height) + raster
+        whole = decode_outcome(bilevel.pgm._parse_plain_samples, raster, width, height)
+        with mock.patch.object(bilevel.pgm, "_SLICE_BYTES", slice_bytes), mock.patch.object(
+            bilevel.pgm, "_parse_plain_samples", wraps=bilevel.pgm._parse_plain_samples
+        ) as fallback:
+            sliced = decode_outcome(read_pgm, data)
+        assert sliced == whole
+        if whole[1] is None and b"#" not in raster:  # a clean image takes no fallback
+            assert not fallback.called
+
+    # With 16-pixel sub-blocks: width 1 (16 rows a sub-block), height 1, a
+    # width that does not divide 16, rows wider than a sub-block (one row
+    # each), and heights that are not a multiple of the rows per sub-block.
+    @pytest.mark.parametrize(
+        "height,width", [(37, 1), (1, 1), (1, 40), (7, 5), (3, 20), (9, 4), (16, 16)]
+    )
+    def test_sub_block_chunks_join_to_the_naive_encoding(self, tmp_path, height, width):
+        rng = np.random.default_rng(height * 100 + width)
+        image = GrayImage(rng.integers(0, 256, size=(height, width), dtype=np.uint8))
+        threshold = 127.5
+        binary = binarize(image, threshold)
+        rows = min(height, max(1, 16 // width))
+        with mock.patch.object(bilevel.pgm, "_SUB_BLOCK_PIXELS", 16), mock.patch.object(
+            bilevel.cli, "_BLOCK_PIXELS", 32
+        ):
+            chunks = list(bilevel.pgm._pgm_body(image.pixels, "P2"))
+            assert len(chunks) == -(-height // rows)
+            assert write_pgm(image, "P2") == naive_plain_encoding(image.pixels)
+            save_pgm(tmp_path / "out.pgm", image, "P2")
+            assert (tmp_path / "out.pgm").read_bytes() == naive_plain_encoding(image.pixels)
+            streamed = b"".join(bilevel.cli._binary_pgm(image, threshold, "P2"))
+            assert streamed == naive_plain_encoding(binary.pixels)
 
 
 class TestCodecProperties:
@@ -389,3 +469,28 @@ class TestCodecProperties:
         finally:
             tracemalloc.stop()
         assert peak < 2**16
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        width=st.integers(1, 10**20 - 1),
+        height=st.integers(1, 10**20 - 1),
+        raster=st.sampled_from([b"", b"\n", b" 1 2 3", b"\n0 255\n", b" 7 # c\n8", b" x"]),
+    )
+    @example(width=10**20 - 1, height=10**20 - 1, raster=b" 1 2 3")
+    @example(width=2**20, height=2**20, raster=b" 1 2 3")
+    def test_huge_plain_dimensions_over_a_tiny_raster_allocate_no_image(
+        self, width, height, raster
+    ):
+        # The slice-wise decoder would allocate the declared image before
+        # parsing; a raster too short to hold it must be refused first.
+        data = b"P2\n%d %d\n255" % (width, height) + raster
+        if width * height <= 3:  # small enough to be a real image, or surplus
+            return
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncatedDataError):
+                read_pgm(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
