@@ -218,7 +218,7 @@ def _parse_plain_raster(data: bytes | mmap.mmap, pos: int, width: int, height: i
                 break
             pixels[found:count] = samples
             found = count
-        else:
+        else:  # no slice broke off
             if found == expected:
                 return pixels.reshape(height, width)
     return _parse_plain_samples(data[pos:], width, height)
