@@ -15,25 +15,19 @@ raster is a run of whitespace-separated decimal samples, one image row per
 line when written by this module.
 
 A P2 raster is parsed from the input buffer in place, in slices of about
-``_SLICE_BYTES``, each ending just after a whitespace byte, so no token is
-split and the raster is not copied whole. A slice of ASCII digits and
-whitespace only is parsed by numpy, and its samples are counted and
-range-checked before they are written into the image. Anything else (a
-``#``, another byte, a sample above 255, a count that is too high or too
-low, or a raster too short to hold the declared samples) sends the whole
-raster to the whole-buffer parse, which names the error.
-
-That parse strips the comments and checks the raster in a fixed order,
-and the first failing check names the error: the sample count
-(:class:`TruncatedDataError` or surplus data), then the character set (only
-ASCII digits and whitespace; the first other token is quoted), then the
-range (the first sample above 255 is quoted without its leading zeros,
-however many digits it has). The work runs in another order, character set
-first, because it picks the parse: text of digits and whitespace only is
-parsed once by numpy, whose result also gives the count; other text is
-split into tokens for the count and the first bad token. Each step is
-whole-buffer work in C or numpy; only a failing range check goes back over
-the tokens to find the one it names.
+``_SLICE_BYTES``, each ending just after a whitespace byte or, if it holds
+a ``#``, where the comment of its last ``#`` ends, so no token or comment
+is split and the raster is never copied whole. A slice's comments are
+stripped; a slice of ASCII digits and whitespace only is then parsed by
+numpy straight into the image, any other is split into tokens. Every slice
+is counted, and the first invalid token and the first sample above 255 are
+kept, so no raster, commented or malformed, is parsed whole; only a comment
+line that crosses a slice's end lengthens that slice. After the last slice
+the first failing check, in a fixed order, names the error: the sample
+count (:class:`TruncatedDataError` or surplus data), then the character set
+(only ASCII digits and whitespace; the first other token is quoted), then
+the range (the first sample above 255 is quoted without its leading zeros,
+however many digits it has).
 
 A P2 body is encoded in sub-blocks of about ``_SUB_BLOCK_PIXELS`` pixels
 through buffers reused from one sub-block to the next, and each sub-block's
@@ -190,68 +184,55 @@ def _decode_pgm(data: bytes | mmap.mmap) -> GrayImage:
 def _parse_plain_raster(data: bytes | mmap.mmap, pos: int, width: int, height: int) -> np.ndarray:
     """The samples of the P2 raster ``data[pos:]``, parsed slice by slice.
 
-    Any anomaly hands the whole raster to :func:`_parse_plain_samples`,
-    which raises the error it names (or, for comments, parses it).
+    Every slice is counted, and the first invalid token and the first
+    sample above 255 are kept; after the last slice, the first failing
+    check names the error.
     """
     expected = width * height
     end = len(data)
     # N samples need N tokens and N - 1 separators; with fewer bytes the
     # count check fails, and the image is never allocated.
-    if end - pos >= 2 * expected - 1:
-        pixels = np.empty(expected, np.uint8)
-        found = 0
-        start = pos
-        while start < end:
-            stop = start + _SLICE_BYTES
-            if stop < end:
-                space = _SPACE.search(data, stop)
-                stop = space.end() if space else end
+    pixels = np.empty(expected, np.uint8) if end - pos >= 2 * expected - 1 else None
+    found = 0
+    invalid = high = None
+    start = pos
+    while start < end:
+        stop = start + _SLICE_BYTES
+        if stop < end:
+            space = _SPACE.search(data, stop)
+            stop = space.end() if space else end
+        # A slice never starts inside a comment, so its last '#' opens a
+        # comment or lies in one, and the slice ends where that comment does.
+        last_hash = data.rfind(b"#", start, stop)
+        if last_hash < 0:
             text = data[start:stop]
-            start = stop
-            if text.translate(None, _DIGITS + _WHITESPACE):
-                break
-            if text.isspace():  # fromstring would read blank text as one 0
-                continue
+        else:
+            stop = _COMMENT.match(data, last_hash).end()
+            text = _COMMENT.sub(b"", data[start:stop])
+        start = stop
+        if text.translate(None, _DIGITS + _WHITESPACE):
+            tokens = text.split()
+            found += len(tokens)
+            invalid = invalid or next(token for token in tokens if not token.isdigit())
+        elif text and not text.isspace():  # fromstring would read blank text as one 0
+            # Text-mode fromstring parses digits and whitespace exactly, one
+            # sample per token; a token beyond int64 saturates and fails the
+            # range check.
             samples = np.fromstring(text, dtype=np.int64, sep=" ")
-            count = found + samples.size
-            if count > expected or samples.max() > MAXVAL:
-                break
-            pixels[found:count] = samples
-            found = count
-        else:  # no slice broke off
-            if found == expected:
-                return pixels.reshape(height, width)
-    return _parse_plain_samples(data[pos:], width, height)
-
-
-def _parse_plain_samples(text: bytes, width: int, height: int) -> np.ndarray:
-    if _HASH in text:
-        text = _COMMENT.sub(b"", text)
-    dirty = text.translate(None, _DIGITS + _WHITESPACE)
-    if dirty:
-        tokens = text.split()
-        found = len(tokens)
-    elif text.isspace():  # fromstring would read blank text as one 0
-        found = 0
-    else:
-        # Text-mode fromstring parses digits and whitespace exactly, one
-        # sample per token; a token beyond int64 saturates and fails the
-        # range check.
-        samples = np.fromstring(text, dtype=np.int64, sep=" ")
-        found = samples.size
-    expected = width * height
+            if not high and samples.max() > MAXVAL:
+                high = text.split()[int(np.argmax(samples > MAXVAL))]
+            if pixels is not None and not (invalid or high) and found + samples.size <= expected:
+                pixels[found : found + samples.size] = samples
+            found += samples.size
     if found < expected:
         raise TruncatedDataError(expected, found)
     if found > expected:
         raise PgmFormatError(f"surplus raster data: expected {expected} samples, found {found}")
-    if dirty:
-        bad = next(token for token in tokens if not token.isdigit())
-        raise PgmFormatError(f"invalid sample token {bad.decode('ascii', 'replace')!r}")
-    if samples.max() > MAXVAL:
-        index = int(np.argmax(samples > MAXVAL))
-        bad = text.split()[index].lstrip(b"0").decode("ascii")
-        raise SampleRangeError(f"sample value {bad} exceeds maxval {MAXVAL}")
-    return samples.astype(np.uint8).reshape(height, width)
+    if invalid:
+        raise PgmFormatError(f"invalid sample token {invalid.decode('ascii', 'replace')!r}")
+    if high:
+        raise SampleRangeError(f"sample value {high.lstrip(b'0').decode('ascii')} exceeds maxval {MAXVAL}")
+    return pixels.reshape(height, width)
 
 
 def _pgm_header(flavor: str, width: int, height: int) -> bytes:

@@ -8,6 +8,7 @@ byte, and the read path by raising it above every input.
 import errno
 import mmap
 import os
+import re
 import signal
 import sys
 import threading
@@ -35,10 +36,19 @@ def corpus() -> dict[str, tuple[bytes, list[str], int]]:
     rng = np.random.default_rng(11)
     big = big_p5()
     big_p2 = write_pgm(GrayImage(rng.integers(0, 256, size=(400, 800), dtype=np.uint8)), "P2")
-    assert min(len(big), len(big_p2)) >= bilevel.cli._MAP_MIN_BYTES
+    # A long comment glued to every third line, so some run across the end
+    # of a 32 KiB decode slice, and a sample above 255 in the last row.
+    p2_commented = b"\n".join(
+        line if i % 3 else line + b"#" + b" x" * 700 for i, line in enumerate(big_p2.split(b"\n"))
+    )
+    assert any(m.start() >> 15 != m.end() >> 15 for m in re.finditer(rb"#.*", p2_commented))
+    p2_over_range = big_p2.rpartition(b" ")[0] + b" 256\n"
+    assert min(map(len, (big, big_p2, p2_commented, p2_over_range))) >= bilevel.cli._MAP_MIN_BYTES
     return {
         "p5-big": (big, [], 0),
         "p2-big": (big_p2, ["--ascii"], 0),
+        "p2-big-comments": (p2_commented, [], 0),
+        "p2-big-over-range": (p2_over_range, [], 2),
         "p5-small": (write_pgm(bimodal_gray_image(rng)), [], 0),
         "p2-small": (write_pgm(bimodal_gray_image(rng), "P2"), ["--ascii"], 0),
         "p2-comments": (b"P2 # kind\n3 1 # size\n255\n# row\n0 128 # mid\n255\n", [], 0),

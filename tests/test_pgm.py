@@ -1,3 +1,4 @@
+import contextlib
 import tracemalloc
 from unittest import mock
 
@@ -300,17 +301,45 @@ class TestSlicedCodec:
     @example(case=(b"\n1 2 3", 2, 2), slice_bytes=3)
     @example(case=(b"\n1 2 00000000000000000000000000256 3", 2, 2), slice_bytes=4)
     @example(case=(b"\n1 2 # 3\n4 5", 2, 2), slice_bytes=5)
-    def test_sliced_decode_matches_the_whole_buffer_parse(self, case, slice_bytes):
+    # Surplus counted over every slice, not up to the one that overflows.
+    @example(case=(b"\n00000 0#\n0", 1, 1), slice_bytes=1)
+    # A comment holding spaces past the slice's nominal end.
+    @example(case=(b"\n1 2 # a b c d\n3 4", 2, 2), slice_bytes=3)
+    # A raster that ends in a comment, and a comment right after maxval.
+    @example(case=(b"\n1#", 1, 1), slice_bytes=1)
+    @example(case=(b"#c\n7", 1, 1), slice_bytes=1)
+    def test_sliced_decode_matches_the_naive_reference(self, case, slice_bytes):
         raster, width, height = case
         data = b"P2\n%d %d\n255" % (width, height) + raster
-        whole = decode_outcome(bilevel.pgm._parse_plain_samples, raster, width, height)
-        with mock.patch.object(bilevel.pgm, "_SLICE_BYTES", slice_bytes), mock.patch.object(
-            bilevel.pgm, "_parse_plain_samples", wraps=bilevel.pgm._parse_plain_samples
-        ) as fallback:
+        with mock.patch.object(bilevel.pgm, "_SLICE_BYTES", slice_bytes):
             sliced = decode_outcome(read_pgm, data)
-        assert sliced == whole
-        if whole[1] is None and b"#" not in raster:  # a clean image takes no fallback
-            assert not fallback.called
+        assert sliced == decode_outcome(naive_plain_samples, raster, width, height)
+
+    def test_commented_and_malformed_rasters_decode_in_bounded_memory(self):
+        rng = np.random.default_rng(1313)
+        image = GrayImage(rng.integers(0, 256, size=(1024, 1024), dtype=np.uint8))
+        clean = write_pgm(image, "P2")
+        rows = clean.split(b"\n")
+        head = clean.rpartition(b" ")[0]
+        inputs = {
+            "clean": (clean, None),
+            "comment": (b"\n".join([*rows[:500], b"# one comment line", *rows[500:]]), None),
+            "bad token last": (head + b" x7\n", PgmFormatError),
+            "over-range last": (head + b" 256\n", SampleRangeError),
+        }
+        peaks = {}
+        for name, (data, error) in inputs.items():
+            tracemalloc.start()
+            try:
+                with pytest.raises(error) if error else contextlib.nullcontext():
+                    decoded = read_pgm(data)
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            if error is None:
+                assert decoded == image, name
+        for name, peak in peaks.items():
+            assert peak <= peaks["clean"] + 2**19, (name, peaks)
 
     # With 16-pixel sub-blocks: width 1 (16 rows a sub-block), height 1, a
     # width that does not divide 16, rows wider than a sub-block (one row
