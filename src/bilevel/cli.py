@@ -5,13 +5,14 @@ input image, 3 bad arguments. On any failure no new output file is left
 behind; every file is written to a temporary name first and renamed only
 after all payloads are staged.
 
-Each payload is built only while its temporary file is written. A binary
-output never exists as a whole image: once the histogram has fixed the
-threshold, its rows are binarized block by block into one reused buffer of
-at most ``_BLOCK_PIXELS`` pixels (or one row, if wider) and each block is
-encoded and written before the next is made. So a run holds the input
-buffer and at most one block of one output, and the header and blocks of
-a PGM go to the file as separate chunks, never joined.
+A payload is the iterable of chunks written to its file. The histogram
+CSVs and the report are bytes, made with the list of outputs. A binary
+output is a generator, so it runs only while its temporary file is written,
+and it never exists as a whole image: its rows are binarized block by block
+into one reused buffer of at most ``_BLOCK_PIXELS`` pixels (or one row, if
+wider) and each block is encoded and written before the next is made. So a
+run holds the input buffer and at most one block of one output, and the
+header and blocks of a PGM go to the file as separate chunks, never joined.
 
 An input that is a regular file of 1 MiB or more is mapped, not copied,
 and a P5 image is a view of the map. Such an input must not be truncated or
@@ -29,11 +30,10 @@ import argparse
 import contextlib
 import errno
 import functools
-import itertools
 import os
 import stat
 import sys
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -71,12 +71,12 @@ METHOD_COMPARE = "compare"
 _MAP_MIN_BYTES = 1 << 20
 
 # Pixels per block of a binary output. A 4096 x 4096 P5 output in 2^20 pixel
-# blocks is no slower than whole. A P2 block is encoded in sub-blocks of
-# pgm._SUB_BLOCK_PIXELS through reused buffers. Repeated in one process on a
-# 1024 x 1024 P2 input, a call costs about 485 minor page faults with 2^20
-# pixel blocks and 5 with 2^18: glibc trims the heap when its free top
-# exceeds twice the largest mapped chunk it has freed (here about 1 MiB),
-# and the image plus a 2^20 pixel block cross that.
+# blocks is no slower than whole; in 2^16 or 2^14 pixel blocks it is slower.
+# A P2 block is encoded in sub-blocks of pgm._SUB_BLOCK_PIXELS. Repeated in
+# one process on a 1024 x 1024 P2 input, a call costs about 500 minor page
+# faults with 2^20 pixel blocks and 5 with 2^18: glibc trims the heap when
+# its free top exceeds twice the largest mapped chunk it has freed (here
+# about 1 MiB), and the image plus a 2^20 pixel block cross that.
 _BLOCK_PIXELS = 1 << 20
 
 _EPILOG = """\
@@ -222,38 +222,39 @@ def _binary_pgm(image: GrayImage, threshold: float, flavor: str) -> Iterator[byt
 
 
 def _stage_and_commit(
-    outputs: list[tuple[Path, Callable[[], Iterable[bytes | memoryview]]]],
+    outputs: list[tuple[Path, Iterable[bytes | memoryview]]],
     existing: set[Path],
     hist_dir: Path | None,
 ) -> None:
-    """Write each payload to a temp file, then rename every temp file onto its target.
+    """Write each payload's chunks to a temp file, then rename every temp file onto its target.
 
-    A payload is built chunk by chunk while its temp file is written, and
-    each chunk is written before the next is built. On any failure,
-    whatever the run made is removed: the temp files, the outputs already
-    renamed onto targets not in ``existing``, and ``hist_dir`` with any
-    parents the run created, while empty. A target that existed before
-    stays replaced.
+    A payload is an iterable of chunks, and each chunk is written before
+    the next is asked for, so a generator payload runs only while its temp
+    file is open. On any failure, whatever the run made is removed: the
+    temp files, the outputs already renamed onto targets not in
+    ``existing``, and ``hist_dir`` with any parents the run created, while
+    empty. A target that existed before stays replaced.
     """
     new_dirs: list[Path] = []  # what mkdir is about to create, deepest first
     staged: list[tuple[Path, Path]] = []
     renamed: list[Path] = []
     try:
         if hist_dir is not None:
-            new_dirs = list(
-                itertools.takewhile(lambda d: not d.exists(), (hist_dir, *hist_dir.parents))
-            )
+            for directory in (hist_dir, *hist_dir.parents):
+                if directory.exists():
+                    break
+                new_dirs.append(directory)
             hist_dir.mkdir(parents=True, exist_ok=True)
-        for path, build in outputs:
+        for path, chunks in outputs:
             tmp = path.with_name(f".{path.name}.tmp-{os.getpid()}")
             staged.append((tmp, path))
             with open(tmp, "wb") as fh:
-                fh.writelines(build())
+                fh.writelines(chunks)
         for tmp, path in staged:
             os.replace(tmp, path)
             renamed.append(path)
     except BaseException:
-        # Payloads are built in the loop above, so any exception can land here.
+        # Generator payloads run in the loop above, so any exception can land here.
         for tmp, _ in staged:
             tmp.unlink(missing_ok=True)
         for path in renamed:
@@ -271,21 +272,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.method == METHOD_COMPARE and not args.report:
         parser.error("--method compare requires --report")
 
-    output = Path(args.output)
-    if args.method == METHOD_COMPARE:
-        image_paths = {
-            METHOD_MEAN: _suffixed(output, "mean"),
-            METHOD_ITERATIVE: _suffixed(output, "iter"),
-        }
-    else:
-        image_paths = {args.method: output}
     hist_dir = hist_input_path = hist_output_path = None
     if args.histograms:
         hist_dir = Path(args.histograms)
         stem = Path(args.input).stem
         hist_input_path = hist_dir / f"{stem}.input.csv"
         hist_output_path = hist_dir / f"{stem}.output.csv"
-    report_path = Path(args.report) if args.report else None
 
     try:
         with open(args.input, "rb") as fh:
@@ -308,20 +300,23 @@ def main(argv: list[str] | None = None) -> int:
     if args.method in (METHOD_ITERATIVE, METHOD_COMPARE):
         results[METHOD_ITERATIVE] = select_iterative(hist)
 
+    output = Path(args.output)
     flavor = "P2" if args.ascii else "P5"
+    tags = {METHOD_MEAN: "mean", METHOD_ITERATIVE: "iter"}
     outputs = [
-        (path, functools.partial(_binary_pgm, image, results[name].optimum, flavor))
-        for name, path in image_paths.items()
+        (_suffixed(output, tags[name]) if args.method == METHOD_COMPARE else output,
+         _binary_pgm(image, res.optimum, flavor))
+        for name, res in results.items()
     ]
     if args.histograms:
         # In compare mode the output histogram tracks the iterative result,
         # the run's refined threshold; the mean output is available via -m mean.
         reported = results.get(METHOD_ITERATIVE, results.get(METHOD_MEAN))
         binarized = binarized_histogram(hist, reported.optimum)
-        outputs.append((hist_input_path, lambda: (emit_histogram_csv(hist),)))
-        outputs.append((hist_output_path, lambda: (emit_histogram_csv(binarized),)))
+        outputs.append((hist_input_path, (emit_histogram_csv(hist),)))
+        outputs.append((hist_output_path, (emit_histogram_csv(binarized),)))
 
-    if report_path:
+    if args.report:
         report = RunReport(
             input_path=args.input,
             width=image.width,
@@ -331,7 +326,7 @@ def main(argv: list[str] | None = None) -> int:
             histogram_input_path=str(hist_input_path) if hist_input_path else None,
             histogram_output_path=str(hist_output_path) if hist_output_path else None,
         )
-        outputs.append((report_path, lambda: (emit_report(report),)))
+        outputs.append((Path(args.report), (emit_report(report),)))
 
     try:
         existing = _plan_targets(parser, source, args.input, [path for path, _ in outputs])

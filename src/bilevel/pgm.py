@@ -16,22 +16,22 @@ line when written by this module.
 
 A P2 raster is parsed from the input buffer in place, in slices of about
 ``_SLICE_BYTES``, each ending just after a whitespace byte or, if it holds
-a ``#``, where the comment of its last ``#`` ends, so no token or comment
-is split and the raster is never copied whole. A slice's comments are
-stripped; a slice of ASCII digits and whitespace only is then parsed by
-numpy straight into the image, any other is split into tokens. Every slice
-is counted, and the first invalid token and the first sample above 255 are
-kept, so no raster, commented or malformed, is parsed whole; only a comment
-line that crosses a slice's end lengthens that slice. After the last slice
-the first failing check, in a fixed order, names the error: the sample
-count (:class:`TruncatedDataError` or surplus data), then the character set
-(only ASCII digits and whitespace; the first other token is quoted), then
-the range (the first sample above 255 is quoted without its leading zeros,
+a ``#``, just before its last ``#``, the next slice starting where that
+comment ends. So no token is split, and neither the raster nor a comment is
+ever copied whole. A slice's comments are stripped; a slice of ASCII digits
+and whitespace only is then parsed by numpy straight into the image, any
+other is split into tokens. Every slice is counted, and the first invalid
+token and the first sample above 255 are kept, so no raster, commented or
+malformed, is parsed whole. After the last slice the first failing check,
+in a fixed order, names the error: the sample count
+(:class:`TruncatedDataError` or surplus data), then the character set (only
+ASCII digits and whitespace; the first other token is quoted), then the
+range (the first sample above 255 is quoted without its leading zeros,
 however many digits it has).
 
-A P2 body is encoded in sub-blocks of about ``_SUB_BLOCK_PIXELS`` pixels
-through buffers reused from one sub-block to the next, and each sub-block's
-bytes are a chunk of their own.
+A P2 body is encoded in sub-blocks of about ``_SUB_BLOCK_PIXELS`` pixels,
+each through temporaries of its own, and each sub-block's bytes are a chunk
+of their own.
 """
 
 from __future__ import annotations
@@ -80,12 +80,12 @@ _SPACE = re.compile(rb"[%s]" % re.escape(_WHITESPACE))
 
 # Nominal bytes per slice of a P2 raster. A slice's int64 samples (at most
 # one per two bytes) then take at most 128 KiB, glibc's default mmap
-# threshold, like the P2 encoder's largest sub-block temporary.
+# threshold.
 _SLICE_BYTES = 1 << 15
 
 # Pixels per sub-block of a P2 body. np.take turns a sub-block's uint8
-# indices into a 128 KiB intp array, and the word buffer and the mask take
-# 64 KiB each.
+# indices into a 128 KiB intp array, and the gathered words and their mask
+# take 64 KiB each.
 _SUB_BLOCK_PIXELS = 1 << 14
 
 # P2 encoder tables, one entry per sample value: the token b"%d " (and, for
@@ -202,13 +202,14 @@ def _parse_plain_raster(data: bytes | mmap.mmap, pos: int, width: int, height: i
             space = _SPACE.search(data, stop)
             stop = space.end() if space else end
         # A slice never starts inside a comment, so its last '#' opens a
-        # comment or lies in one, and the slice ends where that comment does.
+        # comment or lies in one: the slice ends before it, and the next
+        # starts where that comment ends.
         last_hash = data.rfind(b"#", start, stop)
         if last_hash < 0:
             text = data[start:stop]
         else:
+            text = _COMMENT.sub(b"", data[start:last_hash])
             stop = _COMMENT.match(data, last_hash).end()
-            text = _COMMENT.sub(b"", data[start:stop])
         start = stop
         if text.translate(None, _DIGITS + _WHITESPACE):
             tokens = text.split()
@@ -252,24 +253,20 @@ def _pgm_body(pixels: np.ndarray, flavor: str) -> Iterator[memoryview]:
     The one P5 chunk is a view of ``pixels``, so encoding copies nothing.
     P2 chunks are the token bytes of consecutive sub-blocks of whole rows
     (one row, if a row is wider than ``_SUB_BLOCK_PIXELS``), one text line
-    per row. Each is gathered through a word buffer and a mask reused for
-    every sub-block, and keeps no reference to either or to ``pixels``.
+    per row. Each is gathered into fresh temporaries and keeps no
+    reference to ``pixels``.
     """
     if flavor == "P5":
         yield pixels.data
         return
     height, width = pixels.shape
     rows = min(height, max(1, _SUB_BLOCK_PIXELS // width))
-    words = np.empty((rows, width), np.uint32)
-    nonzero = np.empty((rows, 4 * width), np.bool_)
     for top in range(0, height, rows):
         block = pixels[top : top + rows]
-        gathered = words[: len(block)]
-        # mode="raise" would gather into a temporary copy of gathered.
-        np.take(_TOKEN_WORDS, block, out=gathered, mode="clip")
-        gathered[:, -1] = _ROW_END_WORDS[block[:, -1]]
-        padded = gathered.view(np.uint8)
-        yield padded[np.not_equal(padded, 0, out=nonzero[: len(block)])].data
+        words = np.take(_TOKEN_WORDS, block)
+        words[:, -1] = _ROW_END_WORDS[block[:, -1]]
+        padded = words.view(np.uint8)
+        yield padded[padded != 0].data
 
 
 def write_pgm(image: GrayImage | BinaryImage, flavor: str = "P5") -> bytes:

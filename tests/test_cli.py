@@ -367,6 +367,8 @@ class TestFailureModes:
         with pytest.raises(RuntimeError, match="injected encode failure"):
             bilevel.cli.main(args)
         assert len(built) == 2
+        # Payloads are lazy: the first block is binarized with only its own temp file open.
+        assert list(built[0]) == [f".out.mean.pgm.tmp-{os.getpid()}"]
         assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize("flavor", ["P5", "P2"])

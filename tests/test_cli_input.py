@@ -219,7 +219,8 @@ def test_the_input_is_unmapped_when_main_returns(tmp_path, monkeypatch, capsys):
     assert not is_mapped()
 
 
-# Truncates the mapped input once the first output is being staged.
+# Truncates the mapped input once the first output is being staged: the
+# binary payload is a generator, so it truncates on its first chunk request.
 TRUNCATE_IN_STAGING = """\
 import os, resource, sys
 resource.setrlimit(resource.RLIMIT_CORE, (0, 0))
@@ -228,7 +229,7 @@ real = bilevel.cli._binary_pgm
 
 def truncating(*args):
     os.truncate("in.pgm", 0)
-    return real(*args)
+    yield from real(*args)
 
 bilevel.cli._binary_pgm = truncating
 sys.exit(bilevel.cli.main(sys.argv[1:]))

@@ -321,9 +321,11 @@ class TestSlicedCodec:
         clean = write_pgm(image, "P2")
         rows = clean.split(b"\n")
         head = clean.rpartition(b" ")[0]
+        long_comment = b"# " + b"long comment " * 330_000  # over 4 MiB, spaces included
         inputs = {
             "clean": (clean, None),
             "comment": (b"\n".join([*rows[:500], b"# one comment line", *rows[500:]]), None),
+            "long comment": (b"\n".join([*rows[:500], long_comment, *rows[500:]]), None),
             "bad token last": (head + b" x7\n", PgmFormatError),
             "over-range last": (head + b" 256\n", SampleRangeError),
         }
