@@ -9,10 +9,11 @@ A payload is the iterable of chunks written to its file. The histogram
 CSVs and the report are bytes, made with the list of outputs. A binary
 output is a generator, so it runs only while its temporary file is written,
 and it never exists as a whole image: its rows are binarized block by block
-into one reused buffer of at most ``_BLOCK_PIXELS`` pixels (or one row, if
-wider) and each block is encoded and written before the next is made. So a
-run holds the input buffer and at most one block of one output, and the
-header and blocks of a PGM go to the file as separate chunks, never joined.
+into one reused buffer of at most ``_BLOCK_PIXELS`` pixels for P5 and
+``pgm._SUB_BLOCK_PIXELS`` for P2 (or one row, if wider), and each block is
+encoded and written before the next is made. So a run holds the input
+buffer and at most one block of one output, and the header and blocks of a
+PGM go to the file as separate chunks, never joined.
 
 An input that is a regular file of 1 MiB or more is mapped, not copied,
 and a P5 image is a view of the map. Such an input must not be truncated or
@@ -39,6 +40,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import pgm
 from .histogram import build_histogram
 from .image import GrayImage
 from .pgm import PgmError, _decode_pgm, _pgm_body, _pgm_header
@@ -70,13 +72,14 @@ METHOD_COMPARE = "compare"
 # broke even at 512 KiB, and saved 4 % at 1 MiB and 20 % at 2 MiB.
 _MAP_MIN_BYTES = 1 << 20
 
-# Pixels per block of a binary output. A 4096 x 4096 P5 output in 2^20 pixel
-# blocks is no slower than whole; in 2^16 or 2^14 pixel blocks it is slower.
-# A P2 block is encoded in sub-blocks of pgm._SUB_BLOCK_PIXELS. Repeated in
-# one process on a 1024 x 1024 P2 input, a call costs about 500 minor page
-# faults with 2^20 pixel blocks and 5 with 2^18: glibc trims the heap when
-# its free top exceeds twice the largest mapped chunk it has freed (here
-# about 1 MiB), and the image plus a 2^20 pixel block cross that.
+# Pixels per block of a binary P5 output. A 4096 x 4096 P5 output in 2^20
+# pixel blocks is no slower than whole; in 2^16 or 2^14 pixel blocks it is
+# slower. A P2 output is binarized in blocks of pgm._SUB_BLOCK_PIXELS, the
+# size its encoder works in: repeated in one process on a 1024 x 1024 P2
+# input, a call cost about 500 minor page faults with 2^20 pixel blocks and
+# costs 5 with these, because glibc trims the heap when its free top exceeds
+# twice the largest mapped chunk it has freed (here about 1 MiB), and the
+# image plus a 2^20 pixel block cross that.
 _BLOCK_PIXELS = 1 << 20
 
 _EPILOG = """\
@@ -208,13 +211,14 @@ def _binary_pgm(image: GrayImage, threshold: float, flavor: str) -> Iterator[byt
 
     Every block is binarized into one buffer, so a P5 chunk, which is that
     buffer, is valid only until the next chunk is requested: write each
-    chunk before asking for the next. A P2 block comes as the chunks of its
-    sub-blocks (see :func:`pgm._pgm_body`).
+    chunk before asking for the next. A P2 block is one sub-block of the P2
+    encoder, so it comes as one chunk (see :func:`pgm._pgm_body`).
     """
     height, width = image.height, image.width
     yield _pgm_header(flavor, width, height)
     level = _split_level(threshold)
-    rows = min(height, max(1, _BLOCK_PIXELS // width))
+    block_pixels = pgm._SUB_BLOCK_PIXELS if flavor == "P2" else _BLOCK_PIXELS
+    rows = min(height, max(1, block_pixels // width))
     buffer = np.empty((rows, width), np.uint8)
     for top in range(0, height, rows):
         block = image.pixels[top : top + rows]

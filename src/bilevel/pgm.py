@@ -19,15 +19,15 @@ A P2 raster is parsed from the input buffer in place, in slices of about
 a ``#``, just before its last ``#``, the next slice starting where that
 comment ends. So no token is split, and neither the raster nor a comment is
 ever copied whole. A slice's comments are stripped; a slice of ASCII digits
-and whitespace only is then parsed by numpy straight into the image, any
-other is split into tokens. Every slice is counted, and the first invalid
-token and the first sample above 255 are kept, so no raster, commented or
-malformed, is parsed whole. After the last slice the first failing check,
-in a fixed order, names the error: the sample count
-(:class:`TruncatedDataError` or surplus data), then the character set (only
-ASCII digits and whitespace; the first other token is quoted), then the
-range (the first sample above 255 is quoted without its leading zeros,
-however many digits it has).
+and whitespace only is then parsed byte-wise by numpy into uint16 samples
+(:func:`_plain_samples`) and copied into the image, any other is split into
+tokens. Every slice is counted, and the first invalid token and the first
+sample above 255 are kept, so no raster, commented or malformed, is parsed
+whole. After the last slice the first failing check, in a fixed order,
+names the error: the sample count (:class:`TruncatedDataError` or surplus
+data), then the character set (only ASCII digits and whitespace; the first
+other token is quoted), then the range (the first sample above 255 is
+quoted without its leading zeros, however many digits it has).
 
 A P2 body is encoded in sub-blocks of about ``_SUB_BLOCK_PIXELS`` pixels,
 each through temporaries of its own, and each sub-block's bytes are a chunk
@@ -78,9 +78,9 @@ _HEADER = re.compile(
 )
 _SPACE = re.compile(rb"[%s]" % re.escape(_WHITESPACE))
 
-# Nominal bytes per slice of a P2 raster. A slice's int64 samples (at most
-# one per two bytes) then take at most 128 KiB, glibc's default mmap
-# threshold.
+# Nominal bytes per slice of a P2 raster. The byte-wise parse of a slice
+# then makes no temporary above 64 KiB (its uint16 digit sums), under
+# glibc's default mmap threshold of 128 KiB; no int64 array is made.
 _SLICE_BYTES = 1 << 15
 
 # Pixels per sub-block of a P2 body. np.take turns a sub-block's uint8
@@ -215,13 +215,13 @@ def _parse_plain_raster(data: bytes | mmap.mmap, pos: int, width: int, height: i
             tokens = text.split()
             found += len(tokens)
             invalid = invalid or next(token for token in tokens if not token.isdigit())
-        elif text and not text.isspace():  # fromstring would read blank text as one 0
-            # Text-mode fromstring parses digits and whitespace exactly, one
-            # sample per token; a token beyond int64 saturates and fails the
-            # range check.
-            samples = np.fromstring(text, dtype=np.int64, sep=" ")
-            if not high and samples.max() > MAXVAL:
-                high = text.split()[int(np.argmax(samples > MAXVAL))]
+        elif text and not text.isspace():
+            samples, over = _plain_samples(text)
+            if over and not high:
+                # Stripped of leading zeros, so int() never meets a token
+                # past its digit limit.
+                significant = (token.lstrip(b"0") for token in text.split())
+                high = next(t for t in significant if len(t) > 3 or int(t or b"0") > MAXVAL)
             if pixels is not None and not (invalid or high) and found + samples.size <= expected:
                 pixels[found : found + samples.size] = samples
             found += samples.size
@@ -232,8 +232,35 @@ def _parse_plain_raster(data: bytes | mmap.mmap, pos: int, width: int, height: i
     if invalid:
         raise PgmFormatError(f"invalid sample token {invalid.decode('ascii', 'replace')!r}")
     if high:
-        raise SampleRangeError(f"sample value {high.lstrip(b'0').decode('ascii')} exceeds maxval {MAXVAL}")
+        raise SampleRangeError(f"sample value {high.decode('ascii')} exceeds maxval {MAXVAL}")
     return pixels.reshape(height, width)
+
+
+def _plain_samples(text: bytes) -> tuple[np.ndarray, bool]:
+    """The samples of ``text`` as uint16, and whether one is above 255.
+
+    ``text`` is ASCII digits and whitespace and holds a token. A sample is
+    the value of its token's last three digits, so a zero-padded token of
+    any length reads exactly. A token is above 255 if that value is, or if
+    it has a nonzero digit with three more digits after it.
+    """
+    # Whitespace wraps above 9. Two guard bytes before the text and one
+    # after keep every shifted view in bounds and end the last token.
+    code = np.frombuffer(b"  " + text + b" ", np.uint8) - 48
+    digit = code < 10
+    code *= digit
+    # The hundreds digit counts only where the tens byte is a digit, so
+    # b"5 7" is not 507. Hundreds and tens, counted in tens, stay below 100
+    # in uint8; the widening multiply names its dtype, as numpy 1.x would
+    # keep a uint8 array times a small scalar in uint8.
+    tens = code[:-3] * digit[1:-2]
+    tens *= 10
+    tens += code[1:-2]
+    value = np.multiply(tens, 10, dtype=np.uint16)
+    value += code[2:-1]
+    samples = np.compress(digit[2:-1] > digit[3:], value)  # at each token's last digit
+    long = code[2:-3].astype(bool) & digit[3:-2] & digit[4:-1] & digit[5:]
+    return samples, bool(samples.max() > MAXVAL or long.any())
 
 
 def _pgm_header(flavor: str, width: int, height: int) -> bytes:

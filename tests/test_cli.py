@@ -10,6 +10,7 @@ import pytest
 
 import bilevel.cli
 import bilevel.histogram
+import bilevel.pgm
 from bilevel import (
     BinaryImage,
     GrayImage,
@@ -499,8 +500,9 @@ class TestMemory:
 
 
 class TestBlocks:
-    # With 16-pixel blocks: width 1 (16 rows a block), wider than a block
-    # and as wide as one (a row each), and 7 rows of 3-row blocks.
+    # With 16-pixel blocks (P5) and sub-blocks (P2): width 1 (16 rows a
+    # block), wider than a block and as wide as one (a row each), and 7 rows
+    # of 3-row blocks.
     @pytest.mark.parametrize("height,width", [(37, 1), (3, 20), (5, 16), (7, 5)])
     @pytest.mark.parametrize("flavor", ["P5", "P2"])
     def test_multi_block_outputs_match_the_whole_image_encoding(
@@ -510,6 +512,7 @@ class TestBlocks:
         image = GrayImage(rng.integers(0, 256, size=(height, width), dtype=np.uint8))
         save_pgm(tmp_path / "in.pgm", image)
         monkeypatch.setattr(bilevel.cli, "_BLOCK_PIXELS", 16)
+        monkeypatch.setattr(bilevel.pgm, "_SUB_BLOCK_PIXELS", 16)
         monkeypatch.chdir(tmp_path)
         thresholds = {
             "mean": mean_threshold(image).optimum,
@@ -527,6 +530,32 @@ class TestBlocks:
             assert bilevel.cli.main(argv) == 0
             for name, t in outputs.items():
                 assert (tmp_path / name).read_bytes() == write_pgm(binarize(image, t), flavor)
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("flavor,block_pixels", [("P5", 64), ("P2", 16)])
+    def test_block_size_follows_the_output_flavor(
+        self, tmp_path, monkeypatch, capsys, flavor, block_pixels
+    ):
+        # A P2 output takes the encoder's sub-block size, so its binarize
+        # buffer stays small; a P5 output keeps _BLOCK_PIXELS.
+        image = GrayImage(np.arange(20 * 8, dtype=np.uint8).reshape(20, 8))
+        save_pgm(tmp_path / "in.pgm", image)
+        monkeypatch.setattr(bilevel.cli, "_BLOCK_PIXELS", 64)
+        monkeypatch.setattr(bilevel.pgm, "_SUB_BLOCK_PIXELS", 16)
+        real_binarize_into = bilevel.cli._binarize_into
+        blocks = []
+
+        def binarize_into(pixels, level, out):
+            blocks.append(out.size)
+            return real_binarize_into(pixels, level, out)
+
+        monkeypatch.setattr(bilevel.cli, "_binarize_into", binarize_into)
+        argv = ["-i", str(tmp_path / "in.pgm"), "-o", str(tmp_path / "out.pgm"), "-m", "mean"]
+        assert bilevel.cli.main(argv + (["--ascii"] if flavor == "P2" else [])) == 0
+        assert max(blocks) == block_pixels
+        assert sum(blocks) == image.pixels.size
+        threshold = mean_threshold(image).optimum
+        assert (tmp_path / "out.pgm").read_bytes() == write_pgm(binarize(image, threshold), flavor)
         capsys.readouterr()
 
 

@@ -308,12 +308,31 @@ class TestSlicedCodec:
     # A raster that ends in a comment, and a comment right after maxval.
     @example(case=(b"\n1#", 1, 1), slice_bytes=1)
     @example(case=(b"#c\n7", 1, 1), slice_bytes=1)
+    # A one-digit token two bytes after another is not their hundreds and ones.
+    @example(case=(b"\n5 7", 2, 1), slice_bytes=64)
+    # Above 255 only through a nonzero digit with three more after it, or
+    # through the last three digits of a zero-padded token.
+    @example(case=(b"\n1000", 1, 1), slice_bytes=64)
+    @example(case=(b"\n0000256", 1, 1), slice_bytes=64)
+    @example(case=(b"\n7 0001000 8", 3, 1), slice_bytes=2)
+    # A zero-padded token across the slice's nominal end, and a raster that
+    # ends on a digit.
+    @example(case=(b"\n1 000000000000000000000000000255 2 3", 2, 2), slice_bytes=5)
+    @example(case=(b"\n12 34\n56 255", 2, 2), slice_bytes=3)
     def test_sliced_decode_matches_the_naive_reference(self, case, slice_bytes):
         raster, width, height = case
         data = b"P2\n%d %d\n255" % (width, height) + raster
         with mock.patch.object(bilevel.pgm, "_SLICE_BYTES", slice_bytes):
             sliced = decode_outcome(read_pgm, data)
         assert sliced == decode_outcome(naive_plain_samples, raster, width, height)
+
+    def test_zero_padded_tokens_past_the_int_digit_limit(self):
+        # The naive reference cannot int() these tokens. The first crosses a
+        # slice's nominal end; the second precedes, in its slice, the sample
+        # named above 255.
+        assert read_pgm(b"P2 2 1 255 " + b"0" * 40_000 + b"255 1").pixels.tolist() == [[255, 1]]
+        with pytest.raises(SampleRangeError, match=r"^sample value 1000 exceeds maxval 255$"):
+            read_pgm(b"P2 2 1 255 " + b"0" * 5000 + b"7 0001000")
 
     def test_commented_and_malformed_rasters_decode_in_bounded_memory(self):
         rng = np.random.default_rng(1313)
@@ -376,6 +395,11 @@ class TestCodecProperties:
     @example(case=(b"#7\n8", 1, 1))
     @example(case=(b"\n", 1, 1))
     @example(case=(b"", 1, 1))
+    @example(case=(b"\n5 7", 2, 1))
+    @example(case=(b"\n1000", 1, 1))
+    @example(case=(b"\n0000256", 1, 1))
+    @example(case=(b"\n7 0001000 8", 3, 1))
+    @example(case=(b"\n12 34\n56 255", 2, 2))
     def test_plain_decode_matches_reference(self, case):
         raster, width, height = case
         header = b"P2\n%d %d\n255" % (width, height)
