@@ -249,6 +249,7 @@ def _plain_samples(text: bytes) -> tuple[np.ndarray, bool]:
     code = np.frombuffer(b"  " + text + b" ", np.uint8) - 48
     digit = code < 10
     code *= digit
+    long = (code[2:-3].astype(bool) & digit[3:-2] & digit[4:-1] & digit[5:]).any()
     # The hundreds digit counts only where the tens byte is a digit, so
     # b"5 7" is not 507. Hundreds and tens, counted in tens, stay below 100
     # in uint8; the widening multiply names its dtype, as numpy 1.x would
@@ -259,8 +260,7 @@ def _plain_samples(text: bytes) -> tuple[np.ndarray, bool]:
     value = np.multiply(tens, 10, dtype=np.uint16)
     value += code[2:-1]
     samples = np.compress(digit[2:-1] > digit[3:], value)  # at each token's last digit
-    long = code[2:-3].astype(bool) & digit[3:-2] & digit[4:-1] & digit[5:]
-    return samples, bool(samples.max() > MAXVAL or long.any())
+    return samples, bool(long or samples.max() > MAXVAL)
 
 
 def _pgm_header(flavor: str, width: int, height: int) -> bytes:
