@@ -76,10 +76,10 @@ _MAP_MIN_BYTES = 1 << 20
 # pixel blocks is no slower than whole; in 2^16 or 2^14 pixel blocks it is
 # slower. A P2 output is binarized in blocks of pgm._SUB_BLOCK_PIXELS, the
 # size its encoder works in: repeated in one process on a 1024 x 1024 P2
-# input, a call cost about 500 minor page faults with 2^20 pixel blocks and
-# costs 5 with these, because glibc trims the heap when its free top exceeds
-# twice the largest mapped chunk it has freed (here about 1 MiB), and the
-# image plus a 2^20 pixel block cross that.
+# input, a call took about 530 heap page faults with 2^20 pixel blocks and
+# takes none with these, because glibc trims the heap when its free top
+# exceeds twice the largest mapped chunk it has freed (here about 1 MiB),
+# and the image plus a 2^20 pixel block cross that.
 _BLOCK_PIXELS = 1 << 20
 
 _EPILOG = """\
