@@ -92,11 +92,10 @@ def global_mean(hist: Histogram) -> float:
     Computed as an exact integer weighted sum divided once, so the result
     equals the pixelwise mean bit for bit.
     """
-    total = hist.total
-    if total == 0:
+    mean = _weighted_mean(hist.counts, 0)
+    if mean is None:
         raise EmptyInputError("cannot take the mean of an empty histogram")
-    weighted = int(np.dot(np.arange(BIN_COUNT, dtype=np.int64), hist.counts))
-    return weighted / total
+    return mean
 
 
 def class_mean(hist: Histogram, lo: int, hi: int) -> float | None:
@@ -109,9 +108,15 @@ def class_mean(hist: Histogram, lo: int, hi: int) -> float | None:
     """
     if not (0 <= lo <= hi <= BIN_COUNT - 1):
         raise ValueError(f"class bounds must satisfy 0 <= lo <= hi <= 255, got [{lo}, {hi}]")
-    counts = hist.counts[lo : hi + 1]
+    return _weighted_mean(hist.counts[lo : hi + 1], lo)
+
+
+def _weighted_mean(counts: np.ndarray, lo: int) -> float | None:
+    """Mean intensity of ``counts``, the bins from ``lo`` on, or ``None`` if they are all 0.
+
+    An exact integer weighted sum, divided once.
+    """
     size = int(counts.sum())
     if size == 0:
         return None
-    weighted = int(np.dot(np.arange(lo, hi + 1, dtype=np.int64), counts))
-    return weighted / size
+    return int(np.dot(np.arange(lo, lo + counts.size, dtype=np.int64), counts)) / size

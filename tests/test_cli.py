@@ -55,18 +55,19 @@ def fail_rename(monkeypatch, fail_at: int) -> None:
     monkeypatch.setattr(bilevel.cli.os, "replace", replace)
 
 
-def fail_binarize_block(monkeypatch, directory: Path, fail_at: int) -> list[dict]:
-    """Make the ``fail_at``-th block the CLI binarizes raise; return each call's temp-file sizes."""
-    real_binarize_into = bilevel.cli._binarize_into
+def fail_body_chunk(monkeypatch, directory: Path, fail_at: int) -> list[dict]:
+    """Make the ``fail_at``-th body chunk the CLI encodes raise; return the temp-file sizes at each."""
+    real_pgm_body = bilevel.cli._pgm_body
     built = []
 
-    def binarize_into(pixels, level, out):
-        built.append({p.name: p.stat().st_size for p in directory.glob(".*.tmp-*")})
-        if len(built) == fail_at:
-            raise RuntimeError("injected encode failure")
-        return real_binarize_into(pixels, level, out)
+    def pgm_body(*args):
+        for chunk in real_pgm_body(*args):
+            built.append({p.name: p.stat().st_size for p in directory.glob(".*.tmp-*")})
+            if len(built) == fail_at:
+                raise RuntimeError("injected encode failure")
+            yield chunk
 
-    monkeypatch.setattr(bilevel.cli, "_binarize_into", binarize_into)
+    monkeypatch.setattr(bilevel.cli, "_pgm_body", pgm_body)
     return built
 
 
@@ -362,13 +363,13 @@ class TestFailureModes:
     ):
         inp = make_pgm(tmp_path, "in.pgm", 4, 1, [10, 20, 30, 40])
         before = sorted(tmp_path.rglob("*"))
-        built = fail_binarize_block(monkeypatch, tmp_path, 2)  # one block per output: payload two
+        built = fail_body_chunk(monkeypatch, tmp_path, 2)  # one chunk per body: payload two
         args = ["-i", str(inp), "-o", str(tmp_path / "out.pgm"), "-m", "compare",
                 "--report", str(tmp_path / "r.json"), "--histograms", str(tmp_path / "h")]
         with pytest.raises(RuntimeError, match="injected encode failure"):
             bilevel.cli.main(args)
         assert len(built) == 2
-        # Payloads are lazy: the first block is binarized with only its own temp file open.
+        # Payloads are lazy: the first body chunk is made with only its own temp file open.
         assert list(built[0]) == [f".out.mean.pgm.tmp-{os.getpid()}"]
         assert sorted(tmp_path.rglob("*")) == before
 
@@ -382,8 +383,8 @@ class TestFailureModes:
         image = GrayImage(np.tile(np.arange(256, dtype=np.uint8), (3, width // 256)))
         save_pgm(tmp_path / "in.pgm", image)
         before = sorted(tmp_path.rglob("*"))
-        monkeypatch.setattr(bilevel.cli, "_BLOCK_PIXELS", width)  # one row per block
-        built = fail_binarize_block(monkeypatch, tmp_path, 2)
+        monkeypatch.setattr(bilevel.pgm, "_BLOCK_PIXELS", width)  # one row per block, as in P2
+        built = fail_body_chunk(monkeypatch, tmp_path, 2)
         args = ["-i", str(tmp_path / "in.pgm"), "-o", str(tmp_path / "out.pgm"), "-m", "mean"]
         if flavor == "P2":
             args.append("--ascii")
@@ -511,7 +512,7 @@ class TestBlocks:
         rng = np.random.default_rng(height * width)
         image = GrayImage(rng.integers(0, 256, size=(height, width), dtype=np.uint8))
         save_pgm(tmp_path / "in.pgm", image)
-        monkeypatch.setattr(bilevel.cli, "_BLOCK_PIXELS", 16)
+        monkeypatch.setattr(bilevel.pgm, "_BLOCK_PIXELS", 16)
         monkeypatch.setattr(bilevel.pgm, "_SUB_BLOCK_PIXELS", 16)
         monkeypatch.chdir(tmp_path)
         thresholds = {
@@ -532,28 +533,38 @@ class TestBlocks:
                 assert (tmp_path / name).read_bytes() == write_pgm(binarize(image, t), flavor)
         capsys.readouterr()
 
+    # block_pixels is the patched block size of the flavor's encoder.
     @pytest.mark.parametrize("flavor,block_pixels", [("P5", 64), ("P2", 16)])
     def test_block_size_follows_the_output_flavor(
         self, tmp_path, monkeypatch, capsys, flavor, block_pixels
     ):
-        # A P2 output takes the encoder's sub-block size, so its binarize
-        # buffer stays small; a P5 output keeps _BLOCK_PIXELS.
+        # A P5 output is binarized in blocks of _BLOCK_PIXELS. A P2 output
+        # is never binarized: its sub-blocks of _SUB_BLOCK_PIXELS look the
+        # gray pixels up in the threshold's token tables, one chunk each.
         image = GrayImage(np.arange(20 * 8, dtype=np.uint8).reshape(20, 8))
         save_pgm(tmp_path / "in.pgm", image)
-        monkeypatch.setattr(bilevel.cli, "_BLOCK_PIXELS", 64)
+        monkeypatch.setattr(bilevel.pgm, "_BLOCK_PIXELS", 64)
         monkeypatch.setattr(bilevel.pgm, "_SUB_BLOCK_PIXELS", 16)
-        real_binarize_into = bilevel.cli._binarize_into
+        real_binarize_into = bilevel.pgm._binarize_into
+        real_pgm_body = bilevel.cli._pgm_body
         blocks = []
+        chunks = []
 
         def binarize_into(pixels, level, out):
             blocks.append(out.size)
             return real_binarize_into(pixels, level, out)
 
-        monkeypatch.setattr(bilevel.cli, "_binarize_into", binarize_into)
+        def pgm_body(*args):
+            for chunk in real_pgm_body(*args):
+                chunks.append(len(chunk))
+                yield chunk
+
+        monkeypatch.setattr(bilevel.pgm, "_binarize_into", binarize_into)
+        monkeypatch.setattr(bilevel.cli, "_pgm_body", pgm_body)
         argv = ["-i", str(tmp_path / "in.pgm"), "-o", str(tmp_path / "out.pgm"), "-m", "mean"]
         assert bilevel.cli.main(argv + (["--ascii"] if flavor == "P2" else [])) == 0
-        assert max(blocks) == block_pixels
-        assert sum(blocks) == image.pixels.size
+        assert len(chunks) == -(-image.height // (block_pixels // image.width))
+        assert blocks == ([64, 64, 32] if flavor == "P5" else [])
         threshold = mean_threshold(image).optimum
         assert (tmp_path / "out.pgm").read_bytes() == write_pgm(binarize(image, threshold), flavor)
         capsys.readouterr()

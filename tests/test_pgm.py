@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 import bilevel.cli
 import bilevel.pgm
+import bilevel.threshold
 from bilevel import (
     BinaryImage,
     GrayImage,
@@ -375,7 +376,7 @@ class TestSlicedCodec:
         binary = binarize(image, threshold)
         rows = min(height, max(1, 16 // width))
         with mock.patch.object(bilevel.pgm, "_SUB_BLOCK_PIXELS", 16), mock.patch.object(
-            bilevel.cli, "_BLOCK_PIXELS", 32
+            bilevel.pgm, "_BLOCK_PIXELS", 32
         ):
             chunks = list(bilevel.pgm._pgm_body(image.pixels, "P2"))
             assert len(chunks) == -(-height // rows)
@@ -384,6 +385,9 @@ class TestSlicedCodec:
             assert (tmp_path / "out.pgm").read_bytes() == naive_plain_encoding(image.pixels)
             streamed = b"".join(bilevel.cli._binary_pgm(image, threshold, "P2"))
             assert streamed == naive_plain_encoding(binary.pixels)
+            # A P5 chunk is valid until the next is requested: copy each in turn.
+            streamed = b"".join(map(bytes, bilevel.cli._binary_pgm(image, threshold, "P5")))
+            assert streamed == write_pgm(binary)
 
 
 class TestCodecProperties:
@@ -420,6 +424,29 @@ class TestCodecProperties:
     def test_plain_encode_of_binary_matches_naive_rows(self, mask):
         pixels = np.where(mask, 255, 0).astype(np.uint8)
         assert write_pgm(BinaryImage(pixels), "P2") == naive_plain_encoding(pixels)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pixels=st.one_of(_images(40), _images(40).map(lambda p: np.full_like(p, p[0, 0]))),
+        flavor=st.sampled_from(["P2", "P5"]),
+        threshold=st.one_of(st.sampled_from([0.0, 255.0]), st.floats(0, 255)),
+    )
+    @example(pixels=np.arange(256, dtype=np.uint8).reshape(256, 1), flavor="P2", threshold=0.0)
+    @example(pixels=np.arange(256, dtype=np.uint8).reshape(256, 1), flavor="P5", threshold=255.0)
+    @example(pixels=np.arange(40, dtype=np.uint8).reshape(1, 40), flavor="P2", threshold=19.5)
+    @example(pixels=np.arange(40, dtype=np.uint8).reshape(1, 40), flavor="P5", threshold=19.5)
+    @example(pixels=np.full((5, 7), 128, np.uint8), flavor="P2", threshold=127.999)
+    def test_binary_body_of_gray_pixels_matches_the_binarized_image(self, pixels, flavor, threshold):
+        # 16-pixel sub-blocks and blocks: width 1 gives 16 rows a block, a
+        # width above 16 one row each. A P5 chunk is valid until the next
+        # is requested, so each is copied in turn.
+        binary = binarize(GrayImage(pixels), threshold).pixels
+        level = bilevel.threshold._split_level(threshold)
+        with mock.patch.object(bilevel.pgm, "_SUB_BLOCK_PIXELS", 16), mock.patch.object(
+            bilevel.pgm, "_BLOCK_PIXELS", 16
+        ):
+            body = b"".join(map(bytes, bilevel.pgm._pgm_body(pixels, flavor, level)))
+        assert body == b"".join(bilevel.pgm._pgm_body(binary, flavor))
 
     @settings(max_examples=150, deadline=None)
     @given(pixels=_images(8), data=st.data())
