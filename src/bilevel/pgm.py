@@ -34,9 +34,12 @@ given a split level, for their binary images, which it never makes whole.
 A P2 body is encoded in sub-blocks of about ``_SUB_BLOCK_PIXELS`` pixels,
 each through temporaries of its own, and each sub-block's bytes are a chunk
 of their own; a binary one looks each gray pixel up in token tables made for
-the level, so it binarizes nothing. A binary P5 body is binarized in blocks
-of ``_BLOCK_PIXELS`` pixels into one reused buffer, each block a chunk that
-is valid only until the next is requested.
+the level, so it binarizes nothing. Each pixel's token is gathered as one
+NUL-padded uint32 word and the NULs are dropped: by the byte in a gray body,
+by the 2-byte word in a binary one, whose tokens never share a word with a
+NUL. A binary P5 body is binarized in blocks of ``_BLOCK_PIXELS`` pixels into
+one reused buffer, each block a chunk that is valid only until the next is
+requested. Every chunk is a flat byte buffer, so its ``len()`` is its size.
 """
 
 from __future__ import annotations
@@ -97,8 +100,9 @@ _SLICE_BYTES = 1 << 15
 _BLOCK_PIXELS = 1 << 20
 
 # Pixels per sub-block of a P2 body. np.take turns a sub-block's uint8
-# indices into a 128 KiB intp array, and the gathered words and their mask
-# take 64 KiB each.
+# indices into a 128 KiB intp array, the gathered words take 64 KiB, and
+# their NUL mask 64 KiB in a gray body (one element a byte) or 32 KiB in a
+# binary one (one element a 2-byte word).
 _SUB_BLOCK_PIXELS = 1 << 14
 
 # P2 encoder tables, one entry per sample value: the token b"%d " (and, for
@@ -293,18 +297,22 @@ def _pgm_body(pixels: np.ndarray, flavor: str, level: int | None = None) -> Iter
     With ``level`` (a ``threshold._split_level`` result), the bytes are
     those of its binary image: a pixel above ``level`` is 255, every other 0.
 
-    A gray P5 body is one chunk, a view of ``pixels``, so encoding copies
-    nothing. A binary P5 body is binarized by ``_binarize_into`` in blocks of
-    whole rows of about ``_BLOCK_PIXELS`` pixels (one row, if wider) into
-    one buffer, and each chunk is that buffer: write it before asking for
-    the next. P2 chunks are the token bytes of consecutive sub-blocks of
-    whole rows (one row, if a row is wider than ``_SUB_BLOCK_PIXELS``), one
-    text line per row, each gathered into fresh temporaries that keep no
-    reference to ``pixels``. A binary P2 body gathers from tables made for
-    ``level``, in which each gray value has the token of 0 or of 255.
+    Every chunk is a 1-D byte-format memoryview, so ``len(chunk)`` counts
+    its bytes. A gray P5 body is one chunk, a view of ``pixels``, so
+    encoding copies nothing. A binary P5 body is binarized by
+    ``_binarize_into`` in blocks of whole rows of about ``_BLOCK_PIXELS``
+    pixels (one row, if wider) into one buffer, and each chunk is that
+    buffer: write it before asking for the next. P2 chunks are the token
+    bytes of consecutive sub-blocks of whole rows (one row, if a row is
+    wider than ``_SUB_BLOCK_PIXELS``), one text line per row, each gathered
+    into fresh temporaries that keep no reference to ``pixels``. A binary
+    P2 body gathers from tables made for ``level``, in which each gray value
+    has the token of 0 or of 255. The gathered words are NUL-padded tokens,
+    compacted by the byte in a gray body and by the 2-byte word in a binary
+    one.
     """
     if flavor == "P5" and level is None:
-        yield pixels.data
+        yield pixels.reshape(-1).data
         return
     height, width = pixels.shape
     rows = min(height, max(1, (_BLOCK_PIXELS if flavor == "P5" else _SUB_BLOCK_PIXELS) // width))
@@ -312,17 +320,21 @@ def _pgm_body(pixels: np.ndarray, flavor: str, level: int | None = None) -> Iter
         buffer = np.empty((rows, width), np.uint8)
         for top in range(0, height, rows):
             block = pixels[top : top + rows]
-            yield _binarize_into(block, level, buffer[: len(block)]).data
+            yield _binarize_into(block, level, buffer[: len(block)]).reshape(-1).data
         return
     # A binary body's tables give each gray value the token of 0 or of 255.
+    # b"0 ", b"255 ", b"0\n" and b"255\n" fill each 2-byte half of their
+    # word or leave it NUL, so a binary body is compacted by 2-byte words,
+    # half as many mask elements as bytes. A gray token such as b"12 " puts
+    # a token byte and a NUL in one half, so a gray body is compacted by bytes.
     values = np.arange(256) if level is None else np.where(np.arange(256) > level, 255, 0)
     tokens, row_ends = _TOKEN_WORDS[values], _ROW_END_WORDS[values]
     for top in range(0, height, rows):
         block = pixels[top : top + rows]
         words = np.take(tokens, block)
         words[:, -1] = row_ends[block[:, -1]]
-        padded = words.view(np.uint8).ravel()
-        yield np.compress(padded != 0, padded).data
+        padded = words.view(np.uint8 if level is None else np.uint16).ravel()
+        yield np.compress(padded != 0, padded).view(np.uint8).data
 
 
 def write_pgm(image: GrayImage | BinaryImage, flavor: str = "P5") -> bytes:

@@ -389,6 +389,29 @@ class TestSlicedCodec:
             streamed = b"".join(map(bytes, bilevel.cli._binary_pgm(image, threshold, "P5")))
             assert streamed == write_pgm(binary)
 
+    def test_binary_tokens_fill_each_2_byte_word_or_leave_it_nul(self):
+        # So a binary P2 body can be compacted by 2-byte words. A gray token
+        # such as b"12 " splits a word into a token byte and a NUL, so a
+        # gray body is compacted by bytes.
+        for table in (bilevel.pgm._TOKEN_WORDS, bilevel.pgm._ROW_END_WORDS):
+            words = table[[0, 255]].view(np.uint8).reshape(-1, 2)
+            assert ((words != 0).all(axis=1) | (words == 0).all(axis=1)).all()
+        gray = bilevel.pgm._TOKEN_WORDS[[12]].view(np.uint8).reshape(-1, 2)
+        assert ((gray != 0).any(axis=1) & (gray == 0).any(axis=1)).any()
+
+    @pytest.mark.parametrize("flavor", ["P2", "P5"])
+    @pytest.mark.parametrize("level", [None, 0, 127, 255])
+    def test_every_body_chunk_is_a_flat_byte_buffer(self, flavor, level):
+        # A writer or caller may count a chunk's bytes with len().
+        pixels = np.random.default_rng(17).integers(0, 256, size=(9, 5), dtype=np.uint8)
+        with mock.patch.object(bilevel.pgm, "_SUB_BLOCK_PIXELS", 16), mock.patch.object(
+            bilevel.pgm, "_BLOCK_PIXELS", 16
+        ):
+            chunks = [memoryview(chunk) for chunk in bilevel.pgm._pgm_body(pixels, flavor, level)]
+        assert len(chunks) == (1 if flavor == "P5" and level is None else 3)
+        for chunk in chunks:
+            assert (chunk.format, chunk.ndim, len(chunk)) == ("B", 1, chunk.nbytes)
+
 
 class TestCodecProperties:
     @settings(max_examples=400, deadline=None)
