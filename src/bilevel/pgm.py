@@ -34,12 +34,11 @@ given a split level, for their binary images, which it never makes whole.
 A P2 body is encoded in sub-blocks of about ``_SUB_BLOCK_PIXELS`` pixels,
 each through temporaries of its own, and each sub-block's bytes are a chunk
 of their own; a binary one looks each gray pixel up in token tables made for
-the level, so it binarizes nothing. Each pixel's token is gathered as one
-NUL-padded uint32 word and the NULs are dropped: by the byte in a gray body,
-by the 2-byte word in a binary one, whose tokens never share a word with a
-NUL. A binary P5 body is binarized in blocks of ``_BLOCK_PIXELS`` pixels into
-one reused buffer, each block a chunk that is valid only until the next is
-requested. Every chunk is a flat byte buffer, so its ``len()`` is its size.
+the level, so it binarizes nothing. Each token is gathered NUL-padded to
+one uint32 word, and the NULs are dropped by the byte in a gray body and by
+the 2-byte word in a binary one. A binary P5 body is binarized in blocks of
+``_BLOCK_PIXELS`` pixels into one reused buffer, each block a chunk that is
+valid only until the next is requested.
 """
 
 from __future__ import annotations
