@@ -7,13 +7,13 @@ after all payloads are staged.
 
 A payload is the iterable of chunks written to its file. The histogram
 CSVs and the report are bytes, made with the list of outputs. A binary
-output is a generator, so it runs only while its temporary file is written,
-and it never exists as a whole image: it is the header and then the chunks
-of ``pgm._pgm_body`` given the threshold's split level, which encodes the
-binary image of the input's pixels block by block, each block written
-before the next is made. So a run holds the input buffer and at most one
-block of one output, and the header and blocks of a PGM go to the file as
-separate chunks, never joined.
+output is ``pgm._pgm_file`` of the input's pixels given the threshold's
+split level: the header, then lazy body chunks that encode the binary image
+block by block. It runs only while its temporary file is written and never
+exists as a whole image, each block being written before the next is made.
+So a run holds the input buffer and at most one block of one output, and
+the header and blocks of a PGM go to the file as separate chunks, never
+joined.
 
 An input that is a regular file of 1 MiB or more is mapped, not copied,
 and a P5 image is a view of the map. Such an input must not be truncated or
@@ -34,13 +34,12 @@ import functools
 import os
 import stat
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .histogram import build_histogram
-from .image import GrayImage
-from .pgm import PgmError, _decode_pgm, _pgm_body, _pgm_header
+from .pgm import PgmError, _decode_pgm, _pgm_file
 from .report import RunReport, emit_histogram_csv, emit_report
 from .threshold import (
     METHOD_ITERATIVE,
@@ -192,16 +191,6 @@ def _read_input(fh, source: os.stat_result) -> bytes | mmap.mmap:
     return fh.read()
 
 
-def _binary_pgm(image: GrayImage, threshold: float, flavor: str) -> Iterator[bytes | memoryview]:
-    """The PGM file of ``binarize(image, threshold)``: the header, then its body chunks.
-
-    A P5 chunk is valid only until the next chunk is requested: write each
-    chunk before asking for the next (see :func:`pgm._pgm_body`).
-    """
-    yield _pgm_header(flavor, image.width, image.height)
-    yield from _pgm_body(image.pixels, flavor, _split_level(threshold))
-
-
 def _stage_and_commit(
     outputs: list[tuple[Path, Iterable[bytes | memoryview]]],
     existing: set[Path],
@@ -282,11 +271,13 @@ def main(argv: list[str] | None = None) -> int:
         results[METHOD_ITERATIVE] = select_iterative(hist)
 
     output = Path(args.output)
+    if args.method == METHOD_COMPARE and not output.name:
+        parser.error(f"output {args.output!r} has no file name for the compare outputs")
     flavor = "P2" if args.ascii else "P5"
     tags = {METHOD_MEAN: "mean", METHOD_ITERATIVE: "iter"}
     outputs = [
         (_suffixed(output, tags[name]) if args.method == METHOD_COMPARE else output,
-         _binary_pgm(image, res.optimum, flavor))
+         _pgm_file(image.pixels, flavor, _split_level(res.optimum)))
         for name, res in results.items()
     ]
     if args.histograms:

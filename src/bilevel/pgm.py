@@ -29,8 +29,10 @@ data), then the character set (only ASCII digits and whitespace; the first
 other token is quoted), then the range (the first sample above 255 is
 quoted without its leading zeros, however many digits it has).
 
-:func:`_pgm_body` is the one encoder of raster bytes, for gray images and,
-given a split level, for their binary images, which it never makes whole.
+:func:`_pgm_file`, which :func:`write_pgm`, :func:`save_pgm` and the CLI
+all write, is the header and then the chunks of :func:`_pgm_body`, the one
+encoder of raster bytes, for gray images and, given a split level, for
+their binary images, which it never makes whole.
 A P2 body is encoded in sub-blocks of about ``_SUB_BLOCK_PIXELS`` pixels,
 each through temporaries of its own, and each sub-block's bytes are a chunk
 of their own; a binary one looks each gray pixel up in token tables made for
@@ -43,6 +45,7 @@ valid only until the next is requested.
 
 from __future__ import annotations
 
+import itertools
 import os
 import re
 from collections.abc import Iterator
@@ -279,15 +282,17 @@ def _plain_samples(text: bytes) -> tuple[np.ndarray, bool]:
     return samples, bool(long or samples.max() > MAXVAL)
 
 
-def _pgm_header(flavor: str, width: int, height: int) -> bytes:
-    """The header of a ``width`` x ``height`` PGM file in ``flavor``, which it checks.
+def _pgm_file(pixels: np.ndarray, flavor: str, level: int | None = None) -> Iterator[bytes | memoryview]:
+    """The PGM file of ``pixels``: the header, then the chunks of :func:`_pgm_body`.
 
-    A PGM file is this header followed by :func:`_pgm_body` of its rows,
-    either all at once or as consecutive blocks of whole rows, never joined.
+    ``flavor`` is checked on the call, not at the first chunk, so before a
+    caller opens its file. Write each chunk before asking for the next.
     """
     if flavor not in FLAVORS:
         raise ValueError(f"unknown PGM flavor {flavor!r}: expected one of {FLAVORS}")
-    return f"{flavor}\n{width} {height}\n{MAXVAL}\n".encode("ascii")
+    height, width = pixels.shape
+    header = f"{flavor}\n{width} {height}\n{MAXVAL}\n".encode("ascii")
+    return itertools.chain((header,), _pgm_body(pixels, flavor, level))
 
 
 def _pgm_body(pixels: np.ndarray, flavor: str, level: int | None = None) -> Iterator[memoryview]:
@@ -342,8 +347,7 @@ def write_pgm(image: GrayImage | BinaryImage, flavor: str = "P5") -> bytes:
     The header is exactly ``<flavor>\\n<width> <height>\\n255\\n``. P2 output
     puts one image row per text line.
     """
-    header = _pgm_header(flavor, image.width, image.height)
-    return b"".join((header, *_pgm_body(image.pixels, flavor)))
+    return b"".join(_pgm_file(image.pixels, flavor))
 
 
 def load_pgm(path: str | os.PathLike) -> GrayImage:
@@ -353,7 +357,6 @@ def load_pgm(path: str | os.PathLike) -> GrayImage:
 
 def save_pgm(path: str | os.PathLike, image: GrayImage | BinaryImage, flavor: str = "P5") -> None:
     """Write an image to disk as PGM."""
-    header = _pgm_header(flavor, image.width, image.height)
+    chunks = _pgm_file(image.pixels, flavor)
     with open(path, "wb") as fh:
-        fh.write(header)
-        fh.writelines(_pgm_body(image.pixels, flavor))
+        fh.writelines(chunks)

@@ -57,7 +57,7 @@ def fail_rename(monkeypatch, fail_at: int) -> None:
 
 def fail_body_chunk(monkeypatch, directory: Path, fail_at: int) -> list[dict]:
     """Make the ``fail_at``-th body chunk the CLI encodes raise; return the temp-file sizes at each."""
-    real_pgm_body = bilevel.cli._pgm_body
+    real_pgm_body = bilevel.pgm._pgm_body
     built = []
 
     def pgm_body(*args):
@@ -67,7 +67,7 @@ def fail_body_chunk(monkeypatch, directory: Path, fail_at: int) -> list[dict]:
                 raise RuntimeError("injected encode failure")
             yield chunk
 
-    monkeypatch.setattr(bilevel.cli, "_pgm_body", pgm_body)
+    monkeypatch.setattr(bilevel.pgm, "_pgm_body", pgm_body)
     return built
 
 
@@ -269,6 +269,20 @@ class TestFailureModes:
         assert f"output {args[-1]} would overwrite the input" in proc.stderr
         assert inp.read_bytes() == original
         assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("output", [".", "/", ""])
+    def test_compare_output_without_a_file_name_exits_3(self, tmp_path, output):
+        make_pgm(tmp_path, "in.pgm", 4, 1, [10, 20, 30, 40])
+        before = snapshot(tmp_path)
+        proc = run_cli(["-i", "in.pgm", "-o", output, "--report", "r.json"], cwd=tmp_path)
+        assert proc.returncode == 3
+        assert f"bilevel: error: output {output!r} has no file name" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert snapshot(tmp_path) == before
+        # A missing input still wins; a single output is a directory target.
+        assert run_cli(["-i", "nope.pgm", "-o", output, "--report", "r.json"], cwd=tmp_path).returncode == 1
+        assert run_cli(["-i", "in.pgm", "-o", output, "-m", "mean"], cwd=tmp_path).returncode == 1
+        assert snapshot(tmp_path) == before
 
     def test_output_replacing_an_input_named_through_a_file_symlink_exits_3(self, tmp_path):
         inp = make_pgm(tmp_path, "x.pgm", 4, 1, [10, 20, 30, 40])
@@ -546,7 +560,7 @@ class TestBlocks:
         monkeypatch.setattr(bilevel.pgm, "_BLOCK_PIXELS", 64)
         monkeypatch.setattr(bilevel.pgm, "_SUB_BLOCK_PIXELS", 16)
         real_binarize_into = bilevel.pgm._binarize_into
-        real_pgm_body = bilevel.cli._pgm_body
+        real_pgm_body = bilevel.pgm._pgm_body
         blocks = []
         chunks = []
 
@@ -560,7 +574,7 @@ class TestBlocks:
                 yield chunk
 
         monkeypatch.setattr(bilevel.pgm, "_binarize_into", binarize_into)
-        monkeypatch.setattr(bilevel.cli, "_pgm_body", pgm_body)
+        monkeypatch.setattr(bilevel.pgm, "_pgm_body", pgm_body)
         argv = ["-i", str(tmp_path / "in.pgm"), "-o", str(tmp_path / "out.pgm"), "-m", "mean"]
         assert bilevel.cli.main(argv + (["--ascii"] if flavor == "P2" else [])) == 0
         assert len(chunks) == -(-image.height // (block_pixels // image.width))

@@ -225,13 +225,13 @@ TRUNCATE_IN_STAGING = """\
 import os, resource, sys
 resource.setrlimit(resource.RLIMIT_CORE, (0, 0))
 import bilevel.cli
-real = bilevel.cli._binary_pgm
+real = bilevel.cli._pgm_file
 
 def truncating(*args):
     os.truncate("in.pgm", 0)
     yield from real(*args)
 
-bilevel.cli._binary_pgm = truncating
+bilevel.cli._pgm_file = truncating
 sys.exit(bilevel.cli.main(sys.argv[1:]))
 """
 

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-import bilevel.cli
 import bilevel.pgm
 import bilevel.threshold
 from bilevel import (
@@ -185,9 +184,14 @@ class TestWritePgm:
         img = GrayImage.from_flat(1, 1, [7])
         assert write_pgm(img) == write_pgm(img, "P5")
 
-    def test_unknown_flavor_rejected(self):
+    def test_unknown_flavor_rejected(self, tmp_path):
+        image = GrayImage.from_flat(1, 1, [0])
         with pytest.raises(ValueError, match="flavor"):
-            write_pgm(GrayImage.from_flat(1, 1, [0]), "P3")
+            write_pgm(image, "P3")
+        # save_pgm checks the flavor before it opens the file.
+        with pytest.raises(ValueError, match="flavor"):
+            save_pgm(tmp_path / "out.pgm", image, "P6")
+        assert not (tmp_path / "out.pgm").exists()
 
     def test_binary_image_writable(self):
         binary = BinaryImage.from_flat(2, 1, [0, 255])
@@ -383,10 +387,11 @@ class TestSlicedCodec:
             assert write_pgm(image, "P2") == naive_plain_encoding(image.pixels)
             save_pgm(tmp_path / "out.pgm", image, "P2")
             assert (tmp_path / "out.pgm").read_bytes() == naive_plain_encoding(image.pixels)
-            streamed = b"".join(bilevel.cli._binary_pgm(image, threshold, "P2"))
+            level = bilevel.threshold._split_level(threshold)
+            streamed = b"".join(bilevel.pgm._pgm_file(image.pixels, "P2", level))
             assert streamed == naive_plain_encoding(binary.pixels)
             # A P5 chunk is valid until the next is requested: copy each in turn.
-            streamed = b"".join(map(bytes, bilevel.cli._binary_pgm(image, threshold, "P5")))
+            streamed = b"".join(map(bytes, bilevel.pgm._pgm_file(image.pixels, "P5", level)))
             assert streamed == write_pgm(binary)
 
     def test_binary_tokens_fill_each_2_byte_word_or_leave_it_nul(self):

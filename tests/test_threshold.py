@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from bilevel import (
     BinaryImage,
@@ -19,6 +20,11 @@ from bilevel import (
     select_mean,
 )
 from helpers import bimodal_gray_image, naive_fixed_points, random_gray_image
+
+
+def gray_pixels(high: int = 255):
+    """2-D uint8 arrays of 1 to 16 rows and columns, with values from 0 to ``high``."""
+    return arrays(np.uint8, array_shapes(min_dims=2, max_dims=2, max_side=16), elements=st.integers(0, high))
 
 
 def image_of(values) -> GrayImage:
@@ -274,40 +280,33 @@ class TestThresholdProperties:
             out = binarize(img, float(rng.uniform(0, 255)))
             assert set(np.unique(out.pixels)) <= {0, 255}
 
-    def test_idempotence(self):
-        rng = np.random.default_rng(56)
-        for _ in range(100):
-            img = random_gray_image(rng, max_side=16)
-            first = binarize(img, float(rng.uniform(0, 255)))
-            again = binarize(first.to_gray(), float(rng.uniform(0.001, 254.999)))
-            assert again == first
+    @settings(max_examples=100, deadline=None)
+    @given(pixels=gray_pixels(), first=st.floats(0, 255), again=st.floats(0.001, 254.999))
+    def test_idempotence(self, pixels, first, again):
+        once = binarize(GrayImage(pixels), first)
+        assert binarize(once.to_gray(), again) == once
 
-    def test_permutation_invariance_of_both_methods(self):
-        rng = np.random.default_rng(57)
-        for _ in range(50):
-            img = random_gray_image(rng, max_side=16)
-            flat = img.pixels.reshape(-1).copy()
-            rng.shuffle(flat)
-            shuffled = GrayImage.from_flat(img.width, img.height, flat)
-            assert mean_threshold(shuffled) == mean_threshold(img)
-            assert iterative_optimum_threshold(shuffled) == iterative_optimum_threshold(img)
+    @settings(max_examples=50, deadline=None)
+    @given(pixels=gray_pixels(), data=st.data())
+    def test_permutation_invariance_of_both_methods(self, pixels, data):
+        order = data.draw(st.permutations(range(pixels.size)))
+        img = GrayImage(pixels)
+        shuffled = GrayImage.from_flat(img.width, img.height, pixels.reshape(-1)[order])
+        assert mean_threshold(shuffled) == mean_threshold(img)
+        assert iterative_optimum_threshold(shuffled) == iterative_optimum_threshold(img)
 
-    def test_shift_equivariance(self):
-        rng = np.random.default_rng(58)
-        for _ in range(100):
-            height = int(rng.integers(1, 17))
-            width = int(rng.integers(1, 17))
-            base = rng.integers(0, 156, size=(height, width), dtype=np.uint8)
-            shift = int(rng.integers(1, 100))
-            img = GrayImage(base)
-            shifted = GrayImage(base + shift)
-            assert math.isclose(
-                mean_threshold(shifted).optimum,
-                mean_threshold(img).optimum + shift,
-                abs_tol=1e-9,
-            )
-            assert math.isclose(
-                iterative_optimum_threshold(shifted).optimum,
-                iterative_optimum_threshold(img).optimum + shift,
-                abs_tol=1e-6,
-            )
+    @settings(max_examples=100, deadline=None)
+    @given(base=gray_pixels(high=155), shift=st.integers(1, 99))
+    def test_shift_equivariance(self, base, shift):
+        img = GrayImage(base)
+        shifted = GrayImage(base + shift)
+        assert math.isclose(
+            mean_threshold(shifted).optimum,
+            mean_threshold(img).optimum + shift,
+            abs_tol=1e-9,
+        )
+        assert math.isclose(
+            iterative_optimum_threshold(shifted).optimum,
+            iterative_optimum_threshold(img).optimum + shift,
+            abs_tol=1e-6,
+        )
