@@ -271,7 +271,7 @@ def main(argv: list[str] | None = None) -> int:
         results[METHOD_ITERATIVE] = select_iterative(hist)
 
     output = Path(args.output)
-    if args.method == METHOD_COMPARE and not output.name:
+    if args.method == METHOD_COMPARE and output.name in ("", ".."):
         parser.error(f"output {args.output!r} has no file name for the compare outputs")
     flavor = "P2" if args.ascii else "P5"
     tags = {METHOD_MEAN: "mean", METHOD_ITERATIVE: "iter"}

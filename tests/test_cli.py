@@ -270,7 +270,7 @@ class TestFailureModes:
         assert inp.read_bytes() == original
         assert sorted(tmp_path.rglob("*")) == before
 
-    @pytest.mark.parametrize("output", [".", "/", ""])
+    @pytest.mark.parametrize("output", [".", "/", "", "..", "sub/.."])
     def test_compare_output_without_a_file_name_exits_3(self, tmp_path, output):
         make_pgm(tmp_path, "in.pgm", 4, 1, [10, 20, 30, 40])
         before = snapshot(tmp_path)
@@ -493,7 +493,8 @@ class TestMemory:
     def test_peak_of_a_four_block_output_stays_under_half_an_image(
         self, tmp_path, monkeypatch, capsys
     ):
-        # A mapped input is not traced, and each output is written one
+        # A mapped input is not traced, the pixels are counted in pairs
+        # through three 512 KiB buffers, and each output is written one
         # 1 Mpixel block at a time: a whole binary image would be 4 MiB.
         rng = np.random.default_rng(6)
         image = GrayImage(rng.integers(0, 256, size=(2048, 2048), dtype=np.uint8))

@@ -1,9 +1,16 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import bilevel.histogram
 from bilevel import (
+    BinaryImage,
     EmptyInputError,
     GrayImage,
     Histogram,
@@ -48,14 +55,73 @@ class TestBuildHistogram:
         for value in range(256):
             assert hist.counts[value] == flat.count(value)
 
-    # build_histogram counts in slices of 65536 pixels: one short of, exactly
-    # and one past a slice, and several slices with a partial last one.
-    @pytest.mark.parametrize("shape", [(1, 1), (1, 65535), (256, 256), (1, 65537), (517, 389)])
+    # build_histogram counts an image of fewer than 2^21 pixels in slices of
+    # 65536 pixels: one short of, exactly and one past a slice, and several
+    # slices with a partial last one. From 2^21 pixels on it counts pixel
+    # pairs in slices of 65536 pairs: one short of the size (odd), exactly
+    # at it (16 whole slices), one past it (odd), and 1449^2, an odd count
+    # with a partial last slice.
+    @pytest.mark.parametrize(
+        "shape",
+        [(1, 1), (1, 65535), (256, 256), (1, 65537), (517, 389),
+         (1, 2**21 - 1), (1024, 2048), (1, 2**21 + 1), (1449, 1449)],
+    )
     def test_sliced_counts_equal_one_bincount(self, shape):
         rng = np.random.default_rng(shape[1])
         pixels = rng.integers(0, 256, size=shape, dtype=np.uint8)
         expected = np.bincount(pixels.reshape(-1), minlength=256)
         assert np.array_equal(build_histogram(GrayImage(pixels)).counts, expected)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        pixels=st.one_of(
+            arrays(np.uint8, st.tuples(st.integers(1, 9), st.integers(1, 9))),
+            st.builds(
+                np.full,
+                st.tuples(st.integers(1, 9), st.integers(1, 9)),
+                st.integers(0, 255),
+                st.just(np.uint8),
+            ),
+        ),
+        kind=st.sampled_from(["gray", "binary", "mapped"]),
+        pair_min=st.integers(1, 40),
+        slice_pixels=st.integers(1, 8),
+    )
+    # Odd counts just under and at the pair threshold, an even count at it,
+    # and one pixel, which is only the odd last pixel of zero pairs.
+    @example(pixels=np.arange(15, dtype=np.uint8).reshape(3, 5), kind="mapped", pair_min=15, slice_pixels=2)
+    @example(pixels=np.arange(15, dtype=np.uint8).reshape(3, 5), kind="gray", pair_min=16, slice_pixels=2)
+    @example(pixels=np.full((4, 4), 200, np.uint8), kind="gray", pair_min=16, slice_pixels=3)
+    @example(pixels=np.full((1, 1), 7, np.uint8), kind="gray", pair_min=1, slice_pixels=1)
+    def test_pair_counts_equal_one_bincount(self, pixels, kind, pair_min, slice_pixels):
+        if kind == "binary":
+            pixels = np.where(pixels > 127, 255, 0).astype(np.uint8)
+            image = BinaryImage(pixels)
+        elif kind == "mapped":
+            # A mapped P5 raster starts at an odd offset after its header.
+            view = np.frombuffer(b"x" + pixels.tobytes(), np.uint8, offset=1)
+            image = GrayImage._trusted(view.reshape(pixels.shape))
+        else:
+            image = GrayImage(pixels)
+        with mock.patch.object(bilevel.histogram, "_PAIR_MIN_PIXELS", pair_min), \
+                mock.patch.object(bilevel.histogram, "_SLICE_PIXELS", slice_pixels):
+            counts = build_histogram(image).counts
+        assert np.array_equal(counts, np.bincount(pixels.reshape(-1), minlength=256))
+
+    def test_pair_count_peaks_at_its_three_slice_buffers(self):
+        # A 2048 x 2048 image is counted in pairs: the intp slice, the
+        # 65536-bin table and bincount's output are 512 KiB each, and no
+        # other buffer nears that size.
+        rng = np.random.default_rng(2048)
+        image = GrayImage(rng.integers(0, 256, size=(2048, 2048), dtype=np.uint8))
+        build_histogram(image)
+        tracemalloc.start()
+        try:
+            build_histogram(image)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * 2**20
 
 
 class TestHistogramType:
