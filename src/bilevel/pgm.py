@@ -35,16 +35,19 @@ encoder of raster bytes, for gray images and, given a split level, for
 their binary images, which it never makes whole.
 A P2 body is encoded in sub-blocks of about ``_SUB_BLOCK_PIXELS`` pixels,
 each through temporaries of its own, and each sub-block's bytes are a chunk
-of their own; a binary one looks each gray pixel up in token tables made for
-the level, so it binarizes nothing. Each token is gathered NUL-padded to
-one uint32 word, and the NULs are dropped by the byte in a gray body and by
-the 2-byte word in a binary one. A binary P5 body is binarized in blocks of
+of their own. A gray body gathers each pixel's token NUL-padded to one
+uint32 word and drops the NULs byte by byte. A binary body binarizes
+nothing: the bits of the gray pixels above the level are packed 8 to a
+byte, rows narrower than 8 pixels stacked into one, and each byte's text,
+such as ``b"0 255 0 0 255 255 0 0 "``, is looked up in a table of 256 such
+patterns and joined. A binary P5 body is binarized in blocks of
 ``_BLOCK_PIXELS`` pixels into one reused buffer, each block a chunk that is
 valid only until the next is requested.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import re
@@ -89,10 +92,16 @@ _HEADER = re.compile(
 )
 _SPACE = re.compile(rb"[%s]" % re.escape(_WHITESPACE))
 
-# Nominal bytes per slice of a P2 raster. The byte-wise parse of a slice
-# then makes no temporary above 64 KiB (its uint16 digit sums), under
-# glibc's default mmap threshold of 128 KiB; no int64 array is made.
-_SLICE_BYTES = 1 << 15
+# Nominal bytes per slice of a P2 raster. Against 2^15, a 1024 x 1024 P2 is
+# 58 slices instead of 116, half the numpy calls, and its decode peaks at
+# 1.65 against 1.32 MiB (tracemalloc); 2^17-byte slices peaked at 2.30 MiB
+# and took 490-580 minor faults per repeated call. The byte-wise parse of
+# a slice makes no int64 array; its largest temporary, the uint16 digit
+# sums, is just over glibc's initial 128 KiB mmap threshold. That threshold
+# rises to the size of each freed mapped block, so a process's first decode
+# faults about 3800 times (330 with 2^15), and a repeated 1024 x 1024 P2
+# call 5 times, as with 2^15.
+_SLICE_BYTES = 1 << 16
 
 # Pixels per block of a binary P5 body. A 4096 x 4096 P5 output in 2^20
 # pixel blocks is no slower than whole; in 2^16 or 2^14 pixel blocks it is
@@ -101,20 +110,45 @@ _SLICE_BYTES = 1 << 15
 # 256-entry uint8 table 1.6-2.2 ms and fancy indexing 3.2-3.6 ms.
 _BLOCK_PIXELS = 1 << 20
 
-# Pixels per sub-block of a P2 body. np.take turns a sub-block's uint8
-# indices into a 128 KiB intp array, the gathered words take 64 KiB, and
-# their NUL mask 64 KiB in a gray body (one element a byte) or 32 KiB in a
-# binary one (one element a 2-byte word).
+# Pixels per sub-block of a P2 body. In a gray body np.take turns a
+# sub-block's uint8 indices into a 128 KiB intp array, and the gathered
+# words and their NUL mask take 64 KiB each. In a binary body the bits take
+# 16 KiB, and the intp byte indices, the gathered patterns and their list
+# 16 KiB each (one element per 8 pixels); its text is at most 64 KiB.
 _SUB_BLOCK_PIXELS = 1 << 14
 
-# P2 encoder tables, one entry per sample value: the token b"%d " (and, for
-# the last sample of a row, b"%d\n") NUL-padded to one uint32 word, so a
-# pixel gathers its token in one step. A token holds no NUL, so the nonzero
-# bytes of the gathered words are the body.
+# Gray P2 encoder tables, one entry per sample value: the token b"%d " (and,
+# for the last sample of a row, b"%d\n") NUL-padded to one uint32 word, so
+# a pixel gathers its token in one step. A token holds no NUL, so the
+# nonzero bytes of the gathered words are the body.
 _TOKEN_WORDS, _ROW_END_WORDS = (
     np.frombuffer(b"".join((b"%d%s" % (v, end)).ljust(4, b"\0") for v in range(256)), np.uint32)
     for end in (b" ", b"\n")
 )
+
+
+@functools.cache
+def _pattern_table(tail: int, row: int) -> np.ndarray:
+    """The binary P2 text of each byte that ``np.packbits`` makes of a line of pixels.
+
+    Entry ``b`` is the text of a byte inside a line, entry ``256 + b`` that
+    of a line's last byte, whose first ``tail`` bits are pixels. Each pixel
+    bit, from the most significant, is a token, ``255`` if set and ``0`` if
+    not, followed by ``\\n`` if it ends a row (in a last byte, every
+    ``row``-th bit does) and by a space otherwise. The table is a read-only
+    object array of ``bytes``, so ``np.take`` gathers one pattern per byte;
+    at most 36 are made, for 1 <= row <= tail <= 8.
+    """
+    inner = [b" "] * 8
+    last = [b" " if j % row else b"\n" for j in range(1, tail + 1)]
+    table = np.empty(512, object)
+    table[:] = [
+        b"".join((b"255" if byte >> (7 - j) & 1 else b"0") + end for j, end in enumerate(ends))
+        for ends in (inner, last)
+        for byte in range(256)
+    ]
+    table.flags.writeable = False
+    return table
 
 
 class PgmError(ValueError):
@@ -308,12 +342,12 @@ def _pgm_body(pixels: np.ndarray, flavor: str, level: int | None = None) -> Iter
     pixels (one row, if wider) into one buffer, and each chunk is that
     buffer: write it before asking for the next. P2 chunks are the token
     bytes of consecutive sub-blocks of whole rows (one row, if a row is
-    wider than ``_SUB_BLOCK_PIXELS``), one text line per row, each gathered
-    into fresh temporaries that keep no reference to ``pixels``. A binary
-    P2 body gathers from tables made for ``level``, in which each gray value
-    has the token of 0 or of 255. The gathered words are NUL-padded tokens,
-    compacted by the byte in a gray body and by the 2-byte word in a binary
-    one.
+    wider than ``_SUB_BLOCK_PIXELS``), one text line per row, each made in
+    fresh temporaries that keep no reference to ``pixels``. A gray P2 body
+    gathers NUL-padded token words and compacts them by the byte. A binary
+    one is :func:`_binary_patterns` of lines of ``max(1, 8 // width)`` rows,
+    a sub-block's last line holding the rows that are left, and each
+    sub-block's patterns are joined into its chunk.
     """
     if flavor == "P5" and level is None:
         yield pixels.reshape(-1).data
@@ -326,19 +360,46 @@ def _pgm_body(pixels: np.ndarray, flavor: str, level: int | None = None) -> Iter
             block = pixels[top : top + rows]
             yield _binarize_into(block, level, buffer[: len(block)]).reshape(-1).data
         return
-    # A binary body's tables give each gray value the token of 0 or of 255.
-    # b"0 ", b"255 ", b"0\n" and b"255\n" fill each 2-byte half of their
-    # word or leave it NUL, so a binary body is compacted by 2-byte words,
-    # half as many mask elements as bytes. A gray token such as b"12 " puts
-    # a token byte and a NUL in one half, so a gray body is compacted by bytes.
-    values = np.arange(256) if level is None else np.where(np.arange(256) > level, 255, 0)
-    tokens, row_ends = _TOKEN_WORDS[values], _ROW_END_WORDS[values]
+    if level is None:
+        for top in range(0, height, rows):
+            block = pixels[top : top + rows]
+            words = np.take(_TOKEN_WORDS, block)
+            words[:, -1] = _ROW_END_WORDS[block[:, -1]]
+            padded = words.view(np.uint8).ravel()
+            yield np.compress(padded != 0, padded).data
+        return
+    # A line is `stack` rows, so that a line narrower than 8 pixels packs
+    # into one byte; a wider line is one row.
+    stack = max(1, 8 // width)
     for top in range(0, height, rows):
         block = pixels[top : top + rows]
-        words = np.take(tokens, block)
-        words[:, -1] = row_ends[block[:, -1]]
-        padded = words.view(np.uint8 if level is None else np.uint16).ravel()
-        yield np.compress(padded != 0, padded).view(np.uint8).data
+        stacked = len(block) - len(block) % stack
+        pieces = []
+        for lines in (block[:stacked].reshape(-1, stack * width), block[stacked:].reshape(1, -1)):
+            if lines.size:
+                pieces += _binary_patterns(lines, level, width)
+        yield memoryview(b"".join(pieces))
+
+
+def _binary_patterns(lines: np.ndarray, level: int, width: int) -> list[bytes]:
+    """The binary P2 text of uint8 ``lines`` of rows ``width`` pixels wide, one piece per 8 pixels.
+
+    Each line's bits (a pixel above ``level`` is set) are packed 8 to a
+    byte, the last byte zero-padded, and each byte is looked up in
+    :func:`_pattern_table`.
+    """
+    count, length = lines.shape
+    size = -(-length // 8)
+    # packbits(axis=1) costs about 30 ns a row, so narrow lines are padded
+    # to whole bytes and packed flat.
+    bits = np.zeros((count, 8 * size), np.bool_)
+    np.greater(lines, np.uint8(level), out=bits[:, :length])
+    index = np.packbits(bits).reshape(count, size).astype(np.intp)
+    index[:, -1] += 256
+    # A line's last byte holds its last `tail` pixels, and a row ends after
+    # every width-th of them (a line of one row: after the last).
+    tail = length - 8 * (size - 1)
+    return np.take(_pattern_table(tail, min(width, tail)), index).ravel().tolist()
 
 
 def write_pgm(image: GrayImage | BinaryImage, flavor: str = "P5") -> bytes:

@@ -554,8 +554,9 @@ class TestBlocks:
         self, tmp_path, monkeypatch, capsys, flavor, block_pixels
     ):
         # A P5 output is binarized in blocks of _BLOCK_PIXELS. A P2 output
-        # is never binarized: its sub-blocks of _SUB_BLOCK_PIXELS look the
-        # gray pixels up in the threshold's token tables, one chunk each.
+        # never calls _binarize_into: its sub-blocks of _SUB_BLOCK_PIXELS
+        # pack the gray pixels' bits 8 to a byte and look up each byte's
+        # text, one chunk each.
         image = GrayImage(np.arange(20 * 8, dtype=np.uint8).reshape(20, 8))
         save_pgm(tmp_path / "in.pgm", image)
         monkeypatch.setattr(bilevel.pgm, "_BLOCK_PIXELS", 64)

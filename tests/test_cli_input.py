@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import bilevel.cli
+import bilevel.pgm
 from bilevel import GrayImage, write_pgm
 from helpers import bimodal_gray_image, run_cli, run_python, snapshot
 
@@ -37,11 +38,12 @@ def corpus() -> dict[str, tuple[bytes, list[str], int]]:
     big = big_p5()
     big_p2 = write_pgm(GrayImage(rng.integers(0, 256, size=(400, 800), dtype=np.uint8)), "P2")
     # A long comment glued to every third line, so some run across the end
-    # of a 32 KiB decode slice, and a sample above 255 in the last row.
+    # of a decode slice, and a sample above 255 in the last row.
     p2_commented = b"\n".join(
         line if i % 3 else line + b"#" + b" x" * 700 for i, line in enumerate(big_p2.split(b"\n"))
     )
-    assert any(m.start() >> 15 != m.end() >> 15 for m in re.finditer(rb"#.*", p2_commented))
+    size = bilevel.pgm._SLICE_BYTES
+    assert any(m.start() // size != m.end() // size for m in re.finditer(rb"#.*", p2_commented))
     p2_over_range = big_p2.rpartition(b" ")[0] + b" 256\n"
     assert min(map(len, (big, big_p2, p2_commented, p2_over_range))) >= bilevel.cli._MAP_MIN_BYTES
     return {

@@ -291,6 +291,11 @@ def decode_outcome(decode, *args):
     return np.asarray(getattr(result, "pixels", result)).tolist(), None
 
 
+def _ramp(height: int, width: int) -> np.ndarray:
+    """A ``height`` x ``width`` image whose pixels step by 37, so they fall on both sides of 127.5."""
+    return (np.arange(height * width) * 37 % 256).astype(np.uint8).reshape(height, width)
+
+
 def naive_plain_encoding(pixels: np.ndarray) -> bytes:
     height, width = pixels.shape
     rows = "".join(" ".join(map(str, row)) + "\n" for row in pixels.tolist())
@@ -366,6 +371,9 @@ class TestSlicedCodec:
                 assert decoded == image, name
         for name, peak in peaks.items():
             assert peak <= peaks["clean"] + 2**19, (name, peaks)
+        # The image is 1 MiB of the clean peak. Slices of 2^16 bytes peak at
+        # about 1.65 MiB here, slices of 2^17 bytes at about 2.3 MiB.
+        assert peaks["clean"] <= 2 * 2**20, peaks
 
     # With 16-pixel sub-blocks: width 1 (16 rows a sub-block), height 1, a
     # width that does not divide 16, rows wider than a sub-block (one row
@@ -394,15 +402,27 @@ class TestSlicedCodec:
             streamed = b"".join(map(bytes, bilevel.pgm._pgm_file(image.pixels, "P5", level)))
             assert streamed == write_pgm(binary)
 
-    def test_binary_tokens_fill_each_2_byte_word_or_leave_it_nul(self):
-        # So a binary P2 body can be compacted by 2-byte words. A gray token
-        # such as b"12 " splits a word into a token byte and a NUL, so a
-        # gray body is compacted by bytes.
-        for table in (bilevel.pgm._TOKEN_WORDS, bilevel.pgm._ROW_END_WORDS):
-            words = table[[0, 255]].view(np.uint8).reshape(-1, 2)
-            assert ((words != 0).all(axis=1) | (words == 0).all(axis=1)).all()
+    def test_a_gray_token_splits_a_2_byte_word(self):
+        # A gray token such as b"12 " puts a token byte and a NUL in one
+        # 2-byte half of its word, so a gray body is compacted by bytes.
         gray = bilevel.pgm._TOKEN_WORDS[[12]].view(np.uint8).reshape(-1, 2)
         assert ((gray != 0).any(axis=1) & (gray == 0).any(axis=1)).any()
+
+    def test_every_pattern_table_entry_is_the_tokens_of_its_bits(self):
+        # Every table the binary P2 encoder can ask for: a line's last byte
+        # holds 1 to 8 pixels, and a row ends after every row-th of them.
+        for tail in range(1, 9):
+            for row in range(1, tail + 1):
+                table = bilevel.pgm._pattern_table(tail, row)
+                assert table.shape == (512,)
+                for byte in range(256):
+                    bits = np.unpackbits(np.array([byte], np.uint8)).tolist()
+                    middle = b"".join(b"%d " % (255 * bit) for bit in bits)
+                    last = b"".join(
+                        b"%d%s" % (255 * bit, b" " if j % row else b"\n")
+                        for j, bit in enumerate(bits[:tail], 1)
+                    )
+                    assert (table[byte], table[256 + byte]) == (middle, last), (tail, row, byte)
 
     @pytest.mark.parametrize("flavor", ["P2", "P5"])
     @pytest.mark.parametrize("level", [None, 0, 127, 255])
@@ -458,20 +478,45 @@ class TestCodecProperties:
         pixels=st.one_of(_images(40), _images(40).map(lambda p: np.full_like(p, p[0, 0]))),
         flavor=st.sampled_from(["P2", "P5"]),
         threshold=st.one_of(st.sampled_from([0.0, 255.0]), st.floats(0, 255)),
+        block_pixels=st.sampled_from([1, 5, 6, 12, 16, 40]),
     )
-    @example(pixels=np.arange(256, dtype=np.uint8).reshape(256, 1), flavor="P2", threshold=0.0)
-    @example(pixels=np.arange(256, dtype=np.uint8).reshape(256, 1), flavor="P5", threshold=255.0)
-    @example(pixels=np.arange(40, dtype=np.uint8).reshape(1, 40), flavor="P2", threshold=19.5)
-    @example(pixels=np.arange(40, dtype=np.uint8).reshape(1, 40), flavor="P5", threshold=19.5)
-    @example(pixels=np.full((5, 7), 128, np.uint8), flavor="P2", threshold=127.999)
-    def test_binary_body_of_gray_pixels_matches_the_binarized_image(self, pixels, flavor, threshold):
-        # 16-pixel sub-blocks and blocks: width 1 gives 16 rows a block, a
-        # width above 16 one row each. A P5 chunk is valid until the next
-        # is requested, so each is copied in turn.
+    @example(
+        pixels=np.arange(256, dtype=np.uint8).reshape(256, 1), flavor="P2", threshold=0.0, block_pixels=16
+    )
+    @example(
+        pixels=np.arange(256, dtype=np.uint8).reshape(256, 1), flavor="P5", threshold=255.0, block_pixels=16
+    )
+    @example(
+        pixels=np.arange(40, dtype=np.uint8).reshape(1, 40), flavor="P2", threshold=19.5, block_pixels=16
+    )
+    @example(
+        pixels=np.arange(40, dtype=np.uint8).reshape(1, 40), flavor="P5", threshold=19.5, block_pixels=16
+    )
+    @example(pixels=np.full((5, 7), 128, np.uint8), flavor="P2", threshold=127.999, block_pixels=16)
+    # Widths about a packed byte: rows narrower than 8 pixels are stacked
+    # 8 // width to a byte, wider ones end in a partial byte unless the
+    # width is a multiple of 8. 13 x 1 and 5 x 3 end in a partial stack.
+    @example(pixels=_ramp(13, 1), flavor="P2", threshold=127.5, block_pixels=16)
+    @example(pixels=_ramp(9, 2), flavor="P2", threshold=127.5, block_pixels=16)
+    @example(pixels=_ramp(5, 3), flavor="P2", threshold=127.5, block_pixels=16)
+    @example(pixels=_ramp(4, 7), flavor="P2", threshold=127.5, block_pixels=16)
+    @example(pixels=_ramp(3, 8), flavor="P2", threshold=127.5, block_pixels=16)
+    @example(pixels=_ramp(3, 9), flavor="P2", threshold=127.5, block_pixels=16)
+    @example(pixels=_ramp(3, 17), flavor="P2", threshold=127.5, block_pixels=16)
+    # Sub-blocks of 3 and of 12 rows split stacks of 4 and of 8 rows.
+    @example(pixels=_ramp(9, 2), flavor="P2", threshold=127.5, block_pixels=6)
+    @example(pixels=_ramp(20, 1), flavor="P2", threshold=127.5, block_pixels=12)
+    def test_binary_body_of_gray_pixels_matches_the_binarized_image(
+        self, pixels, flavor, threshold, block_pixels
+    ):
+        # Sub-blocks and blocks of block_pixels pixels: width 1 gives
+        # block_pixels rows a block, a width above block_pixels one row
+        # each. A P5 chunk is valid until the next is requested, so each is
+        # copied in turn.
         binary = binarize(GrayImage(pixels), threshold).pixels
         level = bilevel.threshold._split_level(threshold)
-        with mock.patch.object(bilevel.pgm, "_SUB_BLOCK_PIXELS", 16), mock.patch.object(
-            bilevel.pgm, "_BLOCK_PIXELS", 16
+        with mock.patch.object(bilevel.pgm, "_SUB_BLOCK_PIXELS", block_pixels), mock.patch.object(
+            bilevel.pgm, "_BLOCK_PIXELS", block_pixels
         ):
             body = b"".join(map(bytes, bilevel.pgm._pgm_body(pixels, flavor, level)))
         assert body == b"".join(bilevel.pgm._pgm_body(binary, flavor))
