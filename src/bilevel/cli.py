@@ -1,9 +1,18 @@
 """Command-line front end: binarize a PGM with one or both threshold methods.
 
 Exit codes are a stable contract: 0 success, 1 I/O failure, 2 malformed
-input image, 3 bad arguments. On any failure no new output file is left
-behind; every file is written to a temporary name first and renamed only
-after all payloads are staged.
+input image, 3 bad arguments. Running out of memory while reading,
+decoding, counting or staging is an I/O failure too, reported as
+``bilevel: error: <input>: out of memory``; exits 1 and 2 print one line
+to stderr. On any failure no new output file is left behind; every file
+is written to a temporary name first and renamed only after all payloads
+are staged. The temporary name of ``DIR/NAME`` is ``DIR/.NAME.tmp-<pid>``,
+created exclusively: when any entry already has that name, a symlink
+included, the run fails with exit 1 and never writes through, follows or
+removes it, nor tries another name. One left by a killed run with the same
+process ID must be removed by hand. On failure every effect of the commit
+is undone, each undo tried even when another fails, and the error that
+started the rollback is the one reported.
 
 A payload is the iterable of chunks written to its file. The histogram
 CSVs and the report are bytes, made with the list of outputs. A binary
@@ -34,7 +43,7 @@ import functools
 import os
 import stat
 import sys
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -127,10 +136,8 @@ def _fmt(value: float) -> str:
 
 
 def _suffixed(output: Path, tag: str) -> Path:
-    name = output.name
-    if name.lower().endswith(".pgm"):
-        name = name[:-4]
-    return output.with_name(f"{name}.{tag}.pgm")
+    stem = output.name[:-4] if output.name.lower().endswith(".pgm") else output.name
+    return output.with_name(f"{stem}.{tag}.pgm")
 
 
 def _plan_targets(
@@ -179,15 +186,19 @@ def _plan_targets(
 def _read_input(fh, source: os.stat_result) -> bytes | mmap.mmap:
     """The input's bytes: a read-only map of a regular file of ``_MAP_MIN_BYTES`` or more, else read.
 
-    A pipe, a small file or a file that cannot be mapped is read. The map
-    is never closed: the image may view it, so the last reference unmaps it.
+    A pipe, a small file or a file that cannot be mapped is read, unless
+    the map was refused for lack of memory (``ENOMEM``), which is raised.
+    The map is never closed: the image may view it, so the last reference
+    unmaps it.
     """
     if stat.S_ISREG(source.st_mode) and source.st_size >= _MAP_MIN_BYTES:
         import mmap  # only mapped inputs load the extension module
 
-        # ValueError: the file was emptied after the fstat.
-        with contextlib.suppress(OSError, ValueError):
+        try:
             return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        except (OSError, ValueError) as exc:  # ValueError: the file was emptied after the fstat
+            if getattr(exc, "errno", None) == errno.ENOMEM:  # a read would need the memory too
+                raise
     return fh.read()
 
 
@@ -200,54 +211,66 @@ def _stage_and_commit(
 
     A payload is an iterable of chunks, and each chunk is written before
     the next is asked for, so a generator payload runs only while its temp
-    file is open. On any failure, whatever the run made is removed: the
-    temp files, the outputs already renamed onto targets not in
-    ``existing``, and ``hist_dir`` with any parents the run created, while
-    empty. A target that existed before stays replaced.
+    file is open. A temp file is opened with mode ``"xb"`` (``O_CREAT |
+    O_EXCL``), which fails on any entry already at its name and never
+    follows a symlink, so the run writes through, and removes, only what it
+    made.
+
+    One journal records each effect once it has succeeded, as ``(undo,
+    entry)``: ``os.rmdir`` for each directory that ``os.mkdir`` made for
+    ``hist_dir``, one at a time from the top; ``os.unlink`` for each temp
+    file; and after a rename ``os.unlink`` for the target instead, or
+    nothing when the target is in ``existing``. On any exception every undo
+    runs, newest first, each with its own ``OSError`` suppressed, and then
+    the first exception is raised again. A directory that still holds an
+    entry stays, as do its parents; a target that existed before stays
+    replaced.
     """
-    new_dirs: list[Path] = []  # what mkdir is about to create, deepest first
-    staged: list[tuple[Path, Path]] = []
-    renamed: list[Path] = []
+    journal: list[tuple[Callable[[Path], None], Path]] = []
     try:
         if hist_dir is not None:
-            for directory in (hist_dir, *hist_dir.parents):
-                if directory.exists():
-                    break
-                new_dirs.append(directory)
-            hist_dir.mkdir(parents=True, exist_ok=True)
+            for directory in reversed((hist_dir, *hist_dir.parents)):
+                if not directory.is_dir():  # an entry in the way fails mkdir, which names it
+                    os.mkdir(directory)
+                    journal.append((os.rmdir, directory))
         for path, chunks in outputs:
             tmp = path.with_name(f".{path.name}.tmp-{os.getpid()}")
-            staged.append((tmp, path))
-            with open(tmp, "wb") as fh:
+            with open(tmp, "xb") as fh:
+                journal.append((os.unlink, tmp))
                 fh.writelines(chunks)
-        for tmp, path in staged:
-            os.replace(tmp, path)
-            renamed.append(path)
+        first = len(journal) - len(outputs)  # the temp files' entries start here, in output order
+        for path, _ in outputs:  # each renames the first temp file left
+            os.replace(journal[first][1], path)
+            del journal[first]
+            if path not in existing:
+                journal.append((os.unlink, path))
     except BaseException:
         # Generator payloads run in the loop above, so any exception can land here.
-        for tmp, _ in staged:
-            tmp.unlink(missing_ok=True)
-        for path in renamed:
-            if path not in existing:
-                path.unlink(missing_ok=True)
-        for directory in new_dirs:  # one still holding a file stays, as do its parents
+        for undo, entry in reversed(journal):
             with contextlib.suppress(OSError):
-                directory.rmdir()
+                undo(entry)
         raise
 
 
 def main(argv: list[str] | None = None) -> int:
+    args = _build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except MemoryError:
+        # When payloads were being staged, _stage_and_commit has rolled back.
+        print(f"bilevel: error: {args.input}: out of memory", file=sys.stderr)
+        return EXIT_IO
+
+
+def _run(args: argparse.Namespace) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
     if args.method == METHOD_COMPARE and not args.report:
         parser.error("--method compare requires --report")
 
-    hist_dir = hist_input_path = hist_output_path = None
-    if args.histograms:
-        hist_dir = Path(args.histograms)
-        stem = Path(args.input).stem
-        hist_input_path = hist_dir / f"{stem}.input.csv"
-        hist_output_path = hist_dir / f"{stem}.output.csv"
+    hist_dir = Path(args.histograms) if args.histograms else None
+    stem = Path(args.input).stem
+    hist_input_path = hist_dir and hist_dir / f"{stem}.input.csv"
+    hist_output_path = hist_dir and hist_dir / f"{stem}.output.csv"
 
     try:
         with open(args.input, "rb") as fh:
@@ -264,11 +287,8 @@ def main(argv: list[str] | None = None) -> int:
 
     # The only pass that counts pixels: both selectors and both CSVs read it.
     hist = build_histogram(image)
-    results = {}
-    if args.method in (METHOD_MEAN, METHOD_COMPARE):
-        results[METHOD_MEAN] = select_mean(hist)
-    if args.method in (METHOD_ITERATIVE, METHOD_COMPARE):
-        results[METHOD_ITERATIVE] = select_iterative(hist)
+    selectors = {METHOD_MEAN: select_mean, METHOD_ITERATIVE: select_iterative}
+    results = {m: select(hist) for m, select in selectors.items() if args.method in (m, METHOD_COMPARE)}
 
     output = Path(args.output)
     if args.method == METHOD_COMPARE and output.name in ("", ".."):

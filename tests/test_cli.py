@@ -205,6 +205,34 @@ class TestFailureModes:
         assert "Traceback" not in proc.stderr
         assert not out.exists()
 
+    # The range error quotes the sample in full, however many digits it has,
+    # also where uint8 arithmetic would wrap 300 to 44.
+    @pytest.mark.parametrize(
+        "data,sample",
+        [
+            (b"P2\n2 1\n255\n7 300\n", "300"),
+            (b"P2\n2 1\n255\n7 1000\n", "1000"),
+            (OVERLONG_DIGIT_INPUTS["sample"], "9" * 5000),
+        ],
+        ids=["300", "1000", "5000-digits"],
+    )
+    def test_sample_above_maxval_exits_2_with_its_value(
+        self, tmp_path, monkeypatch, capsys, data, sample
+    ):
+        (tmp_path / "in.pgm").write_bytes(data)
+        monkeypatch.chdir(tmp_path)
+        assert bilevel.cli.main(["-i", "in.pgm", "-o", "out.pgm", "-m", "mean"]) == 2
+        err = f"bilevel: error: in.pgm: sample value {sample} exceeds maxval 255\n"
+        assert capsys.readouterr() == ("", err)
+        assert os.listdir(tmp_path) == ["in.pgm"]
+
+    def test_zero_padded_samples_read_as_their_values(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "in.pgm").write_bytes(b"P2\n3 1\n255\n0255 000000000000000000000000007 00100\n")
+        monkeypatch.chdir(tmp_path)
+        assert bilevel.cli.main(["-i", "in.pgm", "-o", "out.pgm", "-m", "mean", "--ascii"]) == 0
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "out.pgm").read_bytes() == b"P2\n3 1\n255\n255 0 0\n"
+
     def test_unknown_method_exits_3(self, tmp_path):
         inp = make_pgm(tmp_path, "img.pgm", 2, 1, [0, 255])
         proc = run_cli(["-i", inp, "-o", tmp_path / "o.pgm", "-m", "otsu"])

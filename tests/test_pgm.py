@@ -82,6 +82,10 @@ class TestReadPgmRejections:
         with pytest.raises(PgmFormatError, match="magic"):
             read_pgm(b"P25 1 255 0 0 0 0 0")
 
+    def test_a_three_byte_file_is_checked_for_its_delimiter(self):
+        with pytest.raises(PgmFormatError, match=r"^not an 8-bit PGM file: bad magic b'P2x'$"):
+            read_pgm(b"P2x")
+
     @pytest.mark.parametrize("maxval", [1, 254, 256, 65535])
     def test_non_8bit_maxval(self, maxval):
         with pytest.raises(UnsupportedDepthError, match=str(maxval)):
@@ -105,6 +109,10 @@ class TestReadPgmRejections:
     def test_plain_sample_above_maxval(self, sample):
         with pytest.raises(SampleRangeError, match=sample):
             read_pgm(f"P2\n2 1\n255\n0 {sample}\n".encode())
+
+    def test_the_first_sample_above_maxval_is_named_not_the_first_with_three_digits(self):
+        with pytest.raises(SampleRangeError, match=r"^sample value 300 exceeds maxval 255$"):
+            read_pgm(b"P2 2 1 255 100 300")
 
     def test_plain_negative_sample_is_malformed(self):
         with pytest.raises(PgmFormatError):

@@ -148,6 +148,16 @@ class TestIterativeOptimumThreshold:
         assert (first.estimate, first.m1, first.m2, first.total_mean) == (25.0, 0.0, 100.0, 50.0)
         assert (second.estimate, second.m1, second.m2, second.total_mean) == (50.0, 0.0, 100.0, 50.0)
 
+    def test_a_step_exactly_one_level_from_its_threshold_does_not_stop(self):
+        # At T = 240 the class means are 239 and 243, so g(T) = 241 lies
+        # exactly 1 from T: the stop rule |T - g(T)| < 1 must take one more step.
+        counts = np.zeros(256, dtype=np.int64)
+        counts[[239, 243]] = [3, 2]
+        result = select_iterative(Histogram(counts))
+        assert [step.estimate for step in result.iterations] == [240.0, 241.0]
+        assert [step.total_mean for step in result.iterations] == [241.0, 241.0]
+        assert result.optimum == 241.0 and result.converged
+
     def test_constant_image_is_degenerate(self):
         result = iterative_optimum_threshold(GrayImage.from_flat(3, 3, [7] * 9))
         assert result.estimate == 7.0
