@@ -27,6 +27,11 @@ OVERLONG_DIGIT_INPUTS = {
 }
 
 
+def image_of(values) -> GrayImage:
+    """A one-row image of ``values``."""
+    return GrayImage.from_flat(len(values), 1, values)
+
+
 def random_gray_image(rng: np.random.Generator, max_side: int = 64) -> GrayImage:
     """Uniform random image with side lengths drawn from [1, max_side]."""
     height = int(rng.integers(1, max_side + 1))
@@ -99,6 +104,13 @@ def naive_plain_samples(text: bytes, width: int, height: int) -> np.ndarray:
         if value > 255:
             raise SampleRangeError(f"sample value {value} exceeds maxval 255")
     return np.array(values, dtype=np.uint8).reshape(height, width)
+
+
+def naive_plain_encoding(pixels: np.ndarray) -> bytes:
+    """Reference P2 encoder: the header, then one line of space-separated decimal samples per row."""
+    height, width = pixels.shape
+    rows = "".join(" ".join(map(str, row)) + "\n" for row in pixels.tolist())
+    return b"P2\n%d %d\n255\n" % (width, height) + rows.encode("ascii")
 
 
 def run_python(args, cwd=None, stdin=None, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:

@@ -32,7 +32,7 @@ from bilevel import (
     save_pgm,
     write_pgm,
 )
-from helpers import bimodal_gray_image, naive_mean, random_gray_image, run_cli
+from helpers import bimodal_gray_image, image_of, naive_mean, random_gray_image, run_cli
 
 SEED = 20260808
 
@@ -40,10 +40,6 @@ SEED = 20260808
 def verdict(criterion: str, ok: bool) -> None:
     print(f"\nacceptance [{criterion}]: {'PASS' if ok else 'FAIL'}")
     assert ok, f"acceptance criterion failed: {criterion}"
-
-
-def image_of(values) -> GrayImage:
-    return GrayImage.from_flat(len(values), 1, values)
 
 
 def test_criterion_1_oracle_equivalence():

@@ -7,9 +7,10 @@ the directory. ``tests/golden.json`` holds the recorded outcomes, so a
 change to any output byte, message or exit code fails here.
 
 The images are built by integer arithmetic, not a random generator, and
-the input files by the plain writers below, so neither depends on the
-library or on the numpy version. Rewrite the corpus only with a change
-that means to alter public bytes, and say why in CHANGES.md::
+the input files by plain writers (``_raw`` below and
+``helpers.naive_plain_encoding``), so neither depends on the library or on
+the numpy version. Rewrite the corpus only with a change that means to
+alter public bytes, and say why in CHANGES.md::
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -26,7 +27,7 @@ import numpy as np
 import pytest
 
 import bilevel.cli
-from helpers import snapshot
+from helpers import naive_plain_encoding, snapshot
 
 GOLDEN = Path(__file__).with_name("golden.json")
 
@@ -54,12 +55,6 @@ def _images() -> dict[str, np.ndarray]:
     }
 
 
-def _plain(pixels: np.ndarray) -> bytes:
-    height, width = pixels.shape
-    rows = "".join(" ".join(map(str, row)) + "\n" for row in pixels.tolist())
-    return b"P2\n%d %d\n255\n" % (width, height) + rows.encode("ascii")
-
-
 def _raw(pixels: np.ndarray) -> bytes:
     height, width = pixels.shape
     return b"P5\n%d %d\n255\n" % (width, height) + pixels.tobytes()
@@ -83,7 +78,7 @@ TINY = _raw(np.zeros((1, 2), np.uint8))
 CASES = {
     f"{image}-{flavor}-{flags}": (encode(pixels), [*IO, *argv], None)
     for image, pixels in _images().items()
-    for flavor, encode in (("P2", _plain), ("P5", _raw))
+    for flavor, encode in (("P2", naive_plain_encoding), ("P5", _raw))
     for flags, argv in FLAG_SETS.items()
 }
 CASES.update(

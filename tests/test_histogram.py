@@ -18,13 +18,13 @@ from bilevel import (
     class_mean,
     global_mean,
 )
-from helpers import naive_class_mean, naive_mean, random_gray_image
+from helpers import image_of, naive_class_mean, naive_mean, random_gray_image
 
 INT64_MAX = 2**63 - 1
 
 
 def hist_of(values) -> Histogram:
-    return build_histogram(GrayImage.from_flat(len(values), 1, values))
+    return build_histogram(image_of(values))
 
 
 class TestBuildHistogram:

@@ -23,7 +23,7 @@ from bilevel import (
     save_pgm,
     write_pgm,
 )
-from helpers import OVERLONG_DIGIT_INPUTS, naive_plain_samples, random_gray_image
+from helpers import OVERLONG_DIGIT_INPUTS, naive_plain_encoding, naive_plain_samples, random_gray_image
 
 
 class TestReadPgm:
@@ -302,12 +302,6 @@ def decode_outcome(decode, *args):
 def _ramp(height: int, width: int) -> np.ndarray:
     """A ``height`` x ``width`` image whose pixels step by 37, so they fall on both sides of 127.5."""
     return (np.arange(height * width) * 37 % 256).astype(np.uint8).reshape(height, width)
-
-
-def naive_plain_encoding(pixels: np.ndarray) -> bytes:
-    height, width = pixels.shape
-    rows = "".join(" ".join(map(str, row)) + "\n" for row in pixels.tolist())
-    return f"P2\n{width} {height}\n255\n".encode() + rows.encode()
 
 
 class TestSlicedCodec:

@@ -18,11 +18,7 @@ from bilevel import (
     mean_threshold,
     round_half_up,
 )
-
-
-def image_of(values) -> GrayImage:
-    return GrayImage.from_flat(len(values), 1, values)
-
+from helpers import image_of
 
 INT64_MAX = 2**63 - 1
 INTEGER_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]

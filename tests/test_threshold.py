@@ -19,16 +19,12 @@ from bilevel import (
     select_iterative,
     select_mean,
 )
-from helpers import bimodal_gray_image, naive_fixed_points, random_gray_image
+from helpers import bimodal_gray_image, image_of, naive_fixed_points, random_gray_image
 
 
 def gray_pixels(high: int = 255):
     """2-D uint8 arrays of 1 to 16 rows and columns, with values from 0 to ``high``."""
     return arrays(np.uint8, array_shapes(min_dims=2, max_dims=2, max_side=16), elements=st.integers(0, high))
-
-
-def image_of(values) -> GrayImage:
-    return GrayImage.from_flat(len(values), 1, values)
 
 
 class TestBinarize:
