@@ -6,70 +6,23 @@ averages the two class means until the threshold stops moving. Pixels above
 the threshold become foreground (255), pixels at or below it background (0).
 PGM (P2/P5) is the interchange format, read and written bit-exactly, and
 runs can be serialized as deterministic JSON reports plus histogram CSVs.
+
+The public API is the union of the modules' ``__all__`` lists: a public name
+is declared once, in the module that defines it.
 """
 
-from .histogram import (
-    EmptyInputError,
-    Histogram,
-    build_histogram,
-    class_mean,
-    global_mean,
-)
-from .image import BinaryImage, GrayImage
-from .pgm import (
-    PgmError,
-    PgmFormatError,
-    SampleRangeError,
-    TruncatedDataError,
-    UnsupportedDepthError,
-    load_pgm,
-    read_pgm,
-    save_pgm,
-    write_pgm,
-)
-from .report import RunReport, emit_histogram_csv, emit_report, round_half_up
-from .threshold import (
-    IterationStep,
-    ThresholdResult,
-    binarize,
-    binarized_histogram,
-    fixed_point_oracle,
-    iterative_optimum_threshold,
-    mean_threshold,
-    select_iterative,
-    select_mean,
-)
+from . import histogram, image, pgm, report, threshold
+from .histogram import *
+from .image import *
+from .pgm import *
+from .report import *
+from .threshold import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BinaryImage",
-    "EmptyInputError",
-    "GrayImage",
-    "Histogram",
-    "IterationStep",
-    "PgmError",
-    "PgmFormatError",
-    "RunReport",
-    "SampleRangeError",
-    "ThresholdResult",
-    "TruncatedDataError",
-    "UnsupportedDepthError",
-    "binarize",
-    "binarized_histogram",
-    "build_histogram",
-    "class_mean",
-    "emit_histogram_csv",
-    "emit_report",
-    "fixed_point_oracle",
-    "global_mean",
-    "iterative_optimum_threshold",
-    "load_pgm",
-    "mean_threshold",
-    "read_pgm",
-    "round_half_up",
-    "save_pgm",
-    "select_iterative",
-    "select_mean",
-    "write_pgm",
-]
+__all__ = []  # a fresh list: extending a module's own list would change that module's API
+__all__ += histogram.__all__
+__all__ += image.__all__
+__all__ += pgm.__all__
+__all__ += report.__all__
+__all__ += threshold.__all__

@@ -71,6 +71,9 @@ EXIT_USAGE = 3
 
 METHOD_COMPARE = "compare"
 
+# Each single method: its selector, and its output tag in compare mode.
+_METHODS = {METHOD_MEAN: (select_mean, "mean"), METHOD_ITERATIVE: (select_iterative, "iter")}
+
 # Inputs this large are mapped, smaller ones read. Timing main in process
 # (P5, -m mean, 2-vCPU Xeon), a map cost 8 % more than a read at 256 KiB,
 # broke even at 512 KiB, and saved 4 % at 1 MiB and 20 % at 2 MiB.
@@ -115,7 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--method",
         "-m",
-        choices=[METHOD_MEAN, METHOD_ITERATIVE, METHOD_COMPARE],
+        choices=[*_METHODS, METHOD_COMPARE],
         default=METHOD_COMPARE,
         help="threshold selection method (default: compare)",
     )
@@ -287,16 +290,14 @@ def _run(args: argparse.Namespace) -> int:
 
     # The only pass that counts pixels: both selectors and both CSVs read it.
     hist = build_histogram(image)
-    selectors = {METHOD_MEAN: select_mean, METHOD_ITERATIVE: select_iterative}
-    results = {m: select(hist) for m, select in selectors.items() if args.method in (m, METHOD_COMPARE)}
+    results = {m: select(hist) for m, (select, _) in _METHODS.items() if args.method in (m, METHOD_COMPARE)}
 
     output = Path(args.output)
     if args.method == METHOD_COMPARE and output.name in ("", ".."):
         parser.error(f"output {args.output!r} has no file name for the compare outputs")
     flavor = "P2" if args.ascii else "P5"
-    tags = {METHOD_MEAN: "mean", METHOD_ITERATIVE: "iter"}
     outputs = [
-        (_suffixed(output, tags[name]) if args.method == METHOD_COMPARE else output,
+        (_suffixed(output, _METHODS[name][1]) if args.method == METHOD_COMPARE else output,
          _pgm_file(image.pixels, flavor, _split_level(res.optimum)))
         for name, res in results.items()
     ]
@@ -346,7 +347,3 @@ def _run(args: argparse.Namespace) -> int:
         print(f"bilevel: error: cannot write summary: {exc}", file=sys.stderr)
         return EXIT_IO
     return EXIT_OK
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -3,15 +3,17 @@
 Each test checks one release criterion at its stated tolerance and prints a
 single PASS/FAIL line (visible with ``pytest -s``). Criteria 1-6 exercise
 the library directly; criterion 7 drives the installed CLI through a
-subprocess.
+subprocess. The last test pins the public API.
 """
 
+import importlib
 import json
 import math
 import time
 
 import numpy as np
 
+import bilevel
 from bilevel import (
     GrayImage,
     PgmError,
@@ -317,3 +319,39 @@ def test_criterion_7_cli_contract(tmp_path):
     ok = ok and json.loads((workdir / "report.json").read_text())["methods"].keys() >= {"mean", "iterative"}
 
     verdict("7 cli contract", ok)
+
+
+# The public API, by defining module. This is the one place that restates
+# the modules' __all__ lists: a new public name goes into its module's list
+# and here.
+PUBLIC_API = {
+    "histogram": ["EmptyInputError", "Histogram", "build_histogram", "class_mean", "global_mean"],
+    "image": ["BinaryImage", "GrayImage"],
+    "pgm": [
+        "PgmError", "PgmFormatError", "SampleRangeError", "TruncatedDataError",
+        "UnsupportedDepthError", "load_pgm", "read_pgm", "save_pgm", "write_pgm",
+    ],
+    "report": ["RunReport", "emit_histogram_csv", "emit_report", "round_half_up"],
+    "threshold": [
+        "IterationStep", "ThresholdResult", "binarize", "binarized_histogram",
+        "fixed_point_oracle", "iterative_optimum_threshold", "mean_threshold",
+        "select_iterative", "select_mean",
+    ],
+}
+
+
+def test_public_api_is_pinned():
+    """``bilevel`` exports exactly the pinned names, each its defining module's object."""
+    names = sorted(name for module_names in PUBLIC_API.values() for name in module_names)
+    assert sorted(bilevel.__all__) == names
+    assert len(set(bilevel.__all__)) == len(bilevel.__all__)
+    for module_name, module_names in PUBLIC_API.items():
+        module = importlib.import_module(f"bilevel.{module_name}")
+        assert sorted(module.__all__) == module_names
+        for name in module_names:
+            assert getattr(bilevel, name) is getattr(module, name)
+            assert getattr(bilevel, name).__module__ == module.__name__
+    namespace = {}
+    exec("from bilevel import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == names
