@@ -267,10 +267,10 @@ def main(argv: list[str] | None = None) -> int:
 
 def _run(args: argparse.Namespace) -> int:
     parser = _build_parser()
-    if args.method == METHOD_COMPARE and not args.report:
+    if args.method == METHOD_COMPARE and args.report is None:
         parser.error("--method compare requires --report")
 
-    hist_dir = Path(args.histograms) if args.histograms else None
+    hist_dir = Path(args.histograms) if args.histograms is not None else None
     stem = Path(args.input).stem
     hist_input_path = hist_dir and hist_dir / f"{stem}.input.csv"
     hist_output_path = hist_dir and hist_dir / f"{stem}.output.csv"
@@ -301,7 +301,7 @@ def _run(args: argparse.Namespace) -> int:
          _pgm_file(image.pixels, flavor, _split_level(res.optimum)))
         for name, res in results.items()
     ]
-    if args.histograms:
+    if hist_dir is not None:
         # In compare mode the output histogram tracks the iterative result,
         # the run's refined threshold; the mean output is available via -m mean.
         reported = results.get(METHOD_ITERATIVE, results.get(METHOD_MEAN))
@@ -309,7 +309,7 @@ def _run(args: argparse.Namespace) -> int:
         outputs.append((hist_input_path, (emit_histogram_csv(hist),)))
         outputs.append((hist_output_path, (emit_histogram_csv(binarized),)))
 
-    if args.report:
+    if args.report is not None:
         report = RunReport(
             input_path=args.input,
             width=image.width,

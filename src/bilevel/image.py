@@ -70,6 +70,8 @@ class _Image:
     @classmethod
     def from_flat(cls, width: int, height: int, values: Sequence[int]):
         """Build an image from a row-major flat sequence of ``width * height`` pixel values."""
+        if width < 1 or height < 1:
+            raise ValueError(f"image dimensions must be at least 1x1, got {width}x{height}")
         arr = np.asarray(values)
         if arr.ndim != 1 or arr.size != width * height:
             raise ValueError(

@@ -41,8 +41,7 @@ nothing: the bits of the gray pixels above the level are packed 8 to a
 byte, rows narrower than 8 pixels stacked into one, and each byte's text,
 such as ``b"0 255 0 0 255 255 0 0 "``, is looked up in a table of 256 such
 patterns and joined. A binary P5 body is binarized in blocks of
-``_BLOCK_PIXELS`` pixels into one reused buffer, each block a chunk that is
-valid only until the next is requested.
+``_BLOCK_PIXELS`` pixels, each block a chunk in a buffer of its own.
 """
 
 from __future__ import annotations
@@ -320,7 +319,7 @@ def _pgm_file(pixels: np.ndarray, flavor: str, level: int | None = None) -> Iter
     """The PGM file of ``pixels``: the header, then the chunks of :func:`_pgm_body`.
 
     ``flavor`` is checked on the call, not at the first chunk, so before a
-    caller opens its file. Write each chunk before asking for the next.
+    caller opens its file.
     """
     if flavor not in FLAVORS:
         raise ValueError(f"unknown PGM flavor {flavor!r}: expected one of {FLAVORS}")
@@ -339,46 +338,42 @@ def _pgm_body(pixels: np.ndarray, flavor: str, level: int | None = None) -> Iter
     its bytes. A gray P5 body is one chunk, a view of ``pixels``, so
     encoding copies nothing. A binary P5 body is binarized by
     ``_binarize_into`` in blocks of whole rows of about ``_BLOCK_PIXELS``
-    pixels (one row, if wider) into one buffer, and each chunk is that
-    buffer: write it before asking for the next. P2 chunks are the token
-    bytes of consecutive sub-blocks of whole rows (one row, if a row is
-    wider than ``_SUB_BLOCK_PIXELS``), one text line per row, each made in
-    fresh temporaries that keep no reference to ``pixels``. A gray P2 body
-    gathers NUL-padded token words and compacts them by the byte. A binary
-    one is :func:`_binary_patterns` of lines of ``max(1, 8 // width)`` rows,
-    a sub-block's last line holding the rows that are left, and each
-    sub-block's patterns are joined into its chunk.
+    pixels (one row, if wider), each into a fresh buffer that is its
+    chunk. P2 chunks are the token bytes of consecutive sub-blocks of whole
+    rows (one row, if a row is wider than ``_SUB_BLOCK_PIXELS``), one text
+    line per row, each made in fresh temporaries that keep no reference to
+    ``pixels``. A gray P2 body gathers NUL-padded token words and compacts
+    them by the byte. A binary one is :func:`_binary_patterns` of lines of
+    ``max(1, 8 // width)`` rows, each sub-block a whole number of lines and
+    the image's last line filled up with rows of 0 whose text is cut off;
+    each sub-block's patterns are joined into its chunk.
     """
     if flavor == "P5" and level is None:
         yield pixels.reshape(-1).data
         return
     height, width = pixels.shape
-    rows = min(height, max(1, (_BLOCK_PIXELS if flavor == "P5" else _SUB_BLOCK_PIXELS) // width))
-    if flavor == "P5":
-        buffer = np.empty((rows, width), np.uint8)
-        for top in range(0, height, rows):
-            block = pixels[top : top + rows]
-            yield _binarize_into(block, level, buffer[: len(block)]).reshape(-1).data
-        return
-    if level is None:
-        for top in range(0, height, rows):
-            block = pixels[top : top + rows]
+    # A binary P2 line is `stack` rows, so that a line narrower than 8
+    # pixels packs into one byte; a wider line is one row.
+    stack = max(1, 8 // width) if flavor == "P2" and level is not None else 1
+    budget = _BLOCK_PIXELS if flavor == "P5" else _SUB_BLOCK_PIXELS
+    rows = min(height, max(1, budget // (stack * width)) * stack)
+    for top in range(0, height, rows):
+        block = pixels[top : top + rows]
+        if flavor == "P5":
+            yield _binarize_into(block, level, np.empty(block.shape, np.uint8)).reshape(-1).data
+        elif level is None:
             words = np.take(_TOKEN_WORDS, block)
             words[:, -1] = _ROW_END_WORDS[block[:, -1]]
             padded = words.view(np.uint8).ravel()
             yield np.compress(padded != 0, padded).data
-        return
-    # A line is `stack` rows, so that a line narrower than 8 pixels packs
-    # into one byte; a wider line is one row.
-    stack = max(1, 8 // width)
-    for top in range(0, height, rows):
-        block = pixels[top : top + rows]
-        stacked = len(block) - len(block) % stack
-        pieces = []
-        for lines in (block[:stacked].reshape(-1, stack * width), block[stacked:].reshape(1, -1)):
-            if lines.size:
-                pieces += _binary_patterns(lines, level, width)
-        yield memoryview(b"".join(pieces))
+        else:
+            # Only the last sub-block can be short of a line's rows. It is
+            # filled with rows of 0, never above a level, so their text is
+            # b"0 " a pixel and is cut off.
+            missing = -len(block) % stack
+            lines = np.concatenate((block, np.zeros((missing, width), np.uint8)))
+            text = b"".join(_binary_patterns(lines.reshape(-1, stack * width), level, width))
+            yield memoryview(text)[: len(text) - 2 * width * missing]
 
 
 def _binary_patterns(lines: np.ndarray, level: int, width: int) -> list[bytes]:

@@ -59,15 +59,7 @@ def _method_entry(result: ThresholdResult) -> dict:
         "rounded": round_half_up(result.optimum),
         "converged": result.converged,
         "degenerate": result.degenerate,
-        "iterations": [
-            {
-                "estimate": step.estimate,
-                "m1": step.m1,
-                "m2": step.m2,
-                "total_mean": step.total_mean,
-            }
-            for step in result.iterations
-        ],
+        "iterations": [vars(step) for step in result.iterations],
     }
 
 

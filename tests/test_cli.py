@@ -168,6 +168,28 @@ class TestHistogramsAndReport:
         assert doc["histograms"]["input"] == str(input_csv)
         assert doc["histograms"]["output"] == str(output_csv)
 
+    # An empty path is a path, as with -o '': the working directory.
+    @pytest.mark.parametrize("method", ["mean", "compare"])
+    def test_an_empty_report_path_is_a_directory_target(self, tmp_path, method):
+        make_pgm(tmp_path, "in.pgm", 4, 1, [10, 20, 30, 40])
+        before = snapshot(tmp_path)
+        proc = run_cli(["-i", "in.pgm", "-o", "out.pgm", "-m", method, "--report", ""], cwd=tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr == "bilevel: error: cannot write outputs: [Errno 21] Is a directory: '.'\n"
+        assert snapshot(tmp_path) == before
+
+    def test_an_empty_histograms_path_writes_into_the_working_directory(self, tmp_path):
+        make_pgm(tmp_path, "in.pgm", 4, 1, [10, 20, 30, 40])
+        proc = run_cli(
+            ["-i", "in.pgm", "-o", "out.pgm", "-m", "mean", "--histograms", "", "--report", "r.json"],
+            cwd=tmp_path,
+        )
+        assert proc.returncode == 0, proc.stderr
+        names = ["in.input.csv", "in.output.csv", "in.pgm", "out.pgm", "r.json"]
+        assert sorted(path.name for path in tmp_path.iterdir()) == names
+        doc = json.loads((tmp_path / "r.json").read_text())
+        assert doc["histograms"] == {"input": "in.input.csv", "output": "in.output.csv"}
+
     def test_report_records_image_dimensions(self, tmp_path):
         inp = make_pgm(tmp_path, "img.pgm", 3, 2, [0, 10, 20, 30, 40, 50])
         report = tmp_path / "r.json"

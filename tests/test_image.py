@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bilevel import BinaryImage, GrayImage
+from bilevel import BinaryImage, GrayImage, RunReport, build_histogram, iterative_optimum_threshold
 
 
 def test_from_flat_row_major_layout():
@@ -14,6 +14,13 @@ def test_from_flat_row_major_layout():
 def test_from_flat_length_mismatch_rejected():
     with pytest.raises(ValueError, match="width x height"):
         GrayImage.from_flat(2, 2, [0, 0, 0])
+
+
+@pytest.mark.parametrize("width,height", [(-2, -3), (-1, 1)])
+def test_from_flat_rejects_dimensions_below_1x1(width, height):
+    # Checked before the reshape: -2 x -3 matches the 6 values in size.
+    with pytest.raises(ValueError, match=f"at least 1x1, got {width}x{height}"):
+        GrayImage.from_flat(width, height, range(abs(width * height)))
 
 
 @pytest.mark.parametrize("shape", [(0, 4), (4, 0), (0, 0)])
@@ -42,6 +49,30 @@ def test_pixels_are_read_only():
     img = GrayImage.from_flat(2, 1, [3, 4])
     with pytest.raises(ValueError):
         img.pixels[0, 0] = 9
+
+
+def _immutable_values():
+    gray = GrayImage.from_flat(2, 1, [3, 4])
+    result = iterative_optimum_threshold(gray)
+    return [
+        (gray, "pixels"),
+        (BinaryImage.from_flat(2, 1, [0, 255]), "pixels"),
+        (build_histogram(gray), "counts"),
+        (result.iterations[0], "estimate"),
+        (result, "optimum"),
+        (RunReport(input_path="in.pgm", width=2, height=1, iterative_result=result), "width"),
+    ]
+
+
+# Named fields, not dataclasses.fields(): any immutable replacement must pass too.
+@pytest.mark.parametrize(
+    "value,field", [pytest.param(*case, id=type(case[0]).__name__) for case in _immutable_values()]
+)
+def test_fields_cannot_be_assigned(value, field):
+    before = getattr(value, field)
+    with pytest.raises(AttributeError):
+        setattr(value, field, before)
+    assert getattr(value, field) is before
 
 
 def read_only(arr: np.ndarray) -> np.ndarray:

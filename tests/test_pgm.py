@@ -400,9 +400,20 @@ class TestSlicedCodec:
             level = bilevel.threshold._split_level(threshold)
             streamed = b"".join(bilevel.pgm._pgm_file(image.pixels, "P2", level))
             assert streamed == naive_plain_encoding(binary.pixels)
-            # A P5 chunk is valid until the next is requested: copy each in turn.
-            streamed = b"".join(map(bytes, bilevel.pgm._pgm_file(image.pixels, "P5", level)))
+            streamed = b"".join(bilevel.pgm._pgm_file(image.pixels, "P5", level))
             assert streamed == write_pgm(binary)
+
+    @pytest.mark.parametrize("level", [50, 100, 200])
+    def test_binary_p5_chunks_are_buffers_of_their_own(self, level):
+        # Chunks joined after the last is made, as b"".join does: no chunk
+        # may be overwritten by a later block. Each level gives the rows of
+        # the ramp other bits.
+        pixels = np.arange(0, 256, 16, dtype=np.uint8).reshape(4, 4)
+        with mock.patch.object(bilevel.pgm, "_BLOCK_PIXELS", 4):
+            chunks = list(bilevel.pgm._pgm_file(pixels, "P5", level))
+            assert len(chunks) == 5
+            streamed = b"".join(chunks)
+        assert streamed == write_pgm(binarize(GrayImage(pixels), level), "P5")
 
     def test_a_gray_token_splits_a_2_byte_word(self):
         # A gray token such as b"12 " puts a token byte and a NUL in one
@@ -505,7 +516,8 @@ class TestCodecProperties:
     @example(pixels=_ramp(3, 8), flavor="P2", threshold=127.5, block_pixels=16)
     @example(pixels=_ramp(3, 9), flavor="P2", threshold=127.5, block_pixels=16)
     @example(pixels=_ramp(3, 17), flavor="P2", threshold=127.5, block_pixels=16)
-    # Sub-blocks of 3 and of 12 rows split stacks of 4 and of 8 rows.
+    # Sub-blocks of 6 and of 12 pixels hold less than a stack of 4 and of 8
+    # rows: each is one stack, and the last is filled up with rows of 0.
     @example(pixels=_ramp(9, 2), flavor="P2", threshold=127.5, block_pixels=6)
     @example(pixels=_ramp(20, 1), flavor="P2", threshold=127.5, block_pixels=12)
     def test_binary_body_of_gray_pixels_matches_the_binarized_image(
@@ -513,14 +525,13 @@ class TestCodecProperties:
     ):
         # Sub-blocks and blocks of block_pixels pixels: width 1 gives
         # block_pixels rows a block, a width above block_pixels one row
-        # each. A P5 chunk is valid until the next is requested, so each is
-        # copied in turn.
+        # each.
         binary = binarize(GrayImage(pixels), threshold).pixels
         level = bilevel.threshold._split_level(threshold)
         with mock.patch.object(bilevel.pgm, "_SUB_BLOCK_PIXELS", block_pixels), mock.patch.object(
             bilevel.pgm, "_BLOCK_PIXELS", block_pixels
         ):
-            body = b"".join(map(bytes, bilevel.pgm._pgm_body(pixels, flavor, level)))
+            body = b"".join(bilevel.pgm._pgm_body(pixels, flavor, level))
         assert body == b"".join(bilevel.pgm._pgm_body(binary, flavor))
 
     @settings(max_examples=150, deadline=None)
