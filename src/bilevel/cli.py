@@ -4,9 +4,10 @@ Exit codes are a stable contract: 0 success, 1 I/O failure, 2 malformed
 input image, 3 bad arguments. Running out of memory while reading,
 decoding, counting or staging is an I/O failure too, reported as
 ``bilevel: error: <input>: out of memory``; exits 1 and 2 print one line
-to stderr. On any failure no new output file is left behind; every file
-is written to a temporary name first and renamed only after all payloads
-are staged. The temporary name of ``DIR/NAME`` is ``DIR/.NAME.tmp-<pid>``,
+to stderr. On any failure no new output file is left behind: every file
+is staged by ``pgm._stage_and_commit``, written to a temporary name first
+and renamed only after all payloads are staged, as ``pgm.save_pgm`` writes
+its one file. The temporary name of ``DIR/NAME`` is ``DIR/.NAME.tmp-<pid>``,
 created exclusively: when any entry already has that name, a symlink
 included, the run fails with exit 1 and never writes through, follows or
 removes it, nor tries another name. One left by a killed run with the same
@@ -24,14 +25,16 @@ So a run holds the input buffer and at most one block of one output, and
 the header and blocks of a PGM go to the file as separate chunks, never
 joined.
 
-An input that is a regular file of 1 MiB or more is mapped, not copied,
-and a P5 image is a view of the map. Such an input must not be truncated or
-rewritten in place during a run; replacing it by a rename is safe. A
-truncation kills the run with ``SIGBUS``, as ``SIGKILL`` would: no target
-is created or replaced, but temporary files may remain.
+An input that is a regular file of 1 MiB or more is mapped by
+``pgm._read_input``, not copied, and a P5 image is a view of the map. Such
+an input must not be truncated or rewritten in place during a run;
+replacing it by a rename is safe. A truncation kills the run with
+``SIGBUS``, as ``SIGKILL`` would: no target is created or replaced, but
+temporary files may remain.
 
-The argument parser is built once per process, on the first call of
-``main``, and reused by every later call.
+This module keeps the argument handling, the target plan and the
+summary. The argument parser is built once per process, on the first call
+of ``main``, and reused by every later call.
 """
 
 from __future__ import annotations
@@ -43,12 +46,10 @@ import functools
 import os
 import stat
 import sys
-from collections.abc import Callable, Iterable
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from .histogram import build_histogram
-from .pgm import PgmError, _decode_pgm, _pgm_file
+from .pgm import PgmError, _decode_pgm, _pgm_file, _read_input, _stage_and_commit
 from .report import RunReport, emit_histogram_csv, emit_report
 from .threshold import (
     METHOD_ITERATIVE,
@@ -58,9 +59,6 @@ from .threshold import (
     select_iterative,
     select_mean,
 )
-
-if TYPE_CHECKING:
-    import mmap
 
 __all__ = ["main"]
 
@@ -73,11 +71,6 @@ METHOD_COMPARE = "compare"
 
 # Each single method: its selector, and its output tag in compare mode.
 _METHODS = {METHOD_MEAN: (select_mean, "mean"), METHOD_ITERATIVE: (select_iterative, "iter")}
-
-# Inputs this large are mapped, smaller ones read. Timing main in process
-# (P5, -m mean, 2-vCPU Xeon), a map cost 8 % more than a read at 256 KiB,
-# broke even at 512 KiB, and saved 4 % at 1 MiB and 20 % at 2 MiB.
-_MAP_MIN_BYTES = 1 << 20
 
 _EPILOG = """\
 methods:
@@ -184,75 +177,6 @@ def _plan_targets(
         ):
             parser.error(f"output {path} would overwrite the input")
     return existing
-
-
-def _read_input(fh, source: os.stat_result) -> bytes | mmap.mmap:
-    """The input's bytes: a read-only map of a regular file of ``_MAP_MIN_BYTES`` or more, else read.
-
-    A pipe, a small file or a file that cannot be mapped is read, unless
-    the map was refused for lack of memory (``ENOMEM``), which is raised.
-    The map is never closed: the image may view it, so the last reference
-    unmaps it.
-    """
-    if stat.S_ISREG(source.st_mode) and source.st_size >= _MAP_MIN_BYTES:
-        import mmap  # only mapped inputs load the extension module
-
-        try:
-            return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-        except (OSError, ValueError) as exc:  # ValueError: the file was emptied after the fstat
-            if getattr(exc, "errno", None) == errno.ENOMEM:  # a read would need the memory too
-                raise
-    return fh.read()
-
-
-def _stage_and_commit(
-    outputs: list[tuple[Path, Iterable[bytes | memoryview]]],
-    existing: set[Path],
-    hist_dir: Path | None,
-) -> None:
-    """Write each payload's chunks to a temp file, then rename every temp file onto its target.
-
-    A payload is an iterable of chunks, and each chunk is written before
-    the next is asked for, so a generator payload runs only while its temp
-    file is open. A temp file is opened with mode ``"xb"`` (``O_CREAT |
-    O_EXCL``), which fails on any entry already at its name and never
-    follows a symlink, so the run writes through, and removes, only what it
-    made.
-
-    One journal records each effect once it has succeeded, as ``(undo,
-    entry)``: ``os.rmdir`` for each directory that ``os.mkdir`` made for
-    ``hist_dir``, one at a time from the top; ``os.unlink`` for each temp
-    file; and after a rename ``os.unlink`` for the target instead, or
-    nothing when the target is in ``existing``. On any exception every undo
-    runs, newest first, each with its own ``OSError`` suppressed, and then
-    the first exception is raised again. A directory that still holds an
-    entry stays, as do its parents; a target that existed before stays
-    replaced.
-    """
-    journal: list[tuple[Callable[[Path], None], Path]] = []
-    try:
-        if hist_dir is not None:
-            for directory in reversed((hist_dir, *hist_dir.parents)):
-                if not directory.is_dir():  # an entry in the way fails mkdir, which names it
-                    os.mkdir(directory)
-                    journal.append((os.rmdir, directory))
-        for path, chunks in outputs:
-            tmp = path.with_name(f".{path.name}.tmp-{os.getpid()}")
-            with open(tmp, "xb") as fh:
-                journal.append((os.unlink, tmp))
-                fh.writelines(chunks)
-        first = len(journal) - len(outputs)  # the temp files' entries start here, in output order
-        for path, _ in outputs:  # each renames the first temp file left
-            os.replace(journal[first][1], path)
-            del journal[first]
-            if path not in existing:
-                journal.append((os.unlink, path))
-    except BaseException:
-        # Generator payloads run in the loop above, so any exception can land here.
-        for undo, entry in reversed(journal):
-            with contextlib.suppress(OSError):
-                undo(entry)
-        raise
 
 
 def main(argv: list[str] | None = None) -> int:

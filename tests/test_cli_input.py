@@ -45,7 +45,7 @@ def corpus() -> dict[str, tuple[bytes, list[str], int]]:
     size = bilevel.pgm._SLICE_BYTES
     assert any(m.start() // size != m.end() // size for m in re.finditer(rb"#.*", p2_commented))
     p2_over_range = big_p2.rpartition(b" ")[0] + b" 256\n"
-    assert min(map(len, (big, big_p2, p2_commented, p2_over_range))) >= bilevel.cli._MAP_MIN_BYTES
+    assert min(map(len, (big, big_p2, p2_commented, p2_over_range))) >= bilevel.pgm._MAP_MIN_BYTES
     return {
         "p5-big": (big, [], 0),
         "p2-big": (big_p2, ["--ascii"], 0),
@@ -106,7 +106,7 @@ def test_mapped_and_read_inputs_give_identical_runs(tmp_path, monkeypatch, capsy
     for name, (data, extra, code) in corpus().items():
         runs = {}
         for mode, floor in (("read", READ), ("mapped", MAPPED)):
-            monkeypatch.setattr(bilevel.cli, "_MAP_MIN_BYTES", floor)
+            monkeypatch.setattr(bilevel.pgm, "_MAP_MIN_BYTES", floor)
             maps_before = len(calls)
             runs[mode] = run_main(tmp_path / name / mode, data, [*ARGV, *extra], capsys)
             assert len(calls) - maps_before == (mode == "mapped"), name
@@ -116,10 +116,10 @@ def test_mapped_and_read_inputs_give_identical_runs(tmp_path, monkeypatch, capsy
 
 def test_a_fifo_is_read(tmp_path, monkeypatch, capsys):
     data = big_p5()
-    monkeypatch.setattr(bilevel.cli, "_MAP_MIN_BYTES", READ)
+    monkeypatch.setattr(bilevel.pgm, "_MAP_MIN_BYTES", READ)
     expected = run_main(tmp_path / "file", data, ARGV, capsys)
 
-    monkeypatch.setattr(bilevel.cli, "_MAP_MIN_BYTES", MAPPED)
+    monkeypatch.setattr(bilevel.pgm, "_MAP_MIN_BYTES", MAPPED)
     calls = count_maps(monkeypatch)
     fifo_dir = tmp_path / "fifo"
     fifo_dir.mkdir()
@@ -162,7 +162,7 @@ def test_dev_stdin_from_a_pipe_matches_dev_stdin_from_a_file(tmp_path):
 
 
 def test_an_empty_file_is_read_and_rejected(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(bilevel.cli, "_MAP_MIN_BYTES", MAPPED)
+    monkeypatch.setattr(bilevel.pgm, "_MAP_MIN_BYTES", MAPPED)
     calls = count_maps(monkeypatch)
     code, out, err, files = run_main(tmp_path / "d", b"", ARGV, capsys)
     assert calls == []
@@ -173,7 +173,7 @@ def test_an_empty_file_is_read_and_rejected(tmp_path, monkeypatch, capsys):
 
 def test_a_file_that_cannot_be_mapped_is_read(tmp_path, monkeypatch, capsys):
     data = big_p5()
-    monkeypatch.setattr(bilevel.cli, "_MAP_MIN_BYTES", READ)
+    monkeypatch.setattr(bilevel.pgm, "_MAP_MIN_BYTES", READ)
     expected = run_main(tmp_path / "read", data, ARGV, capsys)
 
     refused = []
@@ -182,14 +182,14 @@ def test_a_file_that_cannot_be_mapped_is_read(tmp_path, monkeypatch, capsys):
         refused.append(fileno)
         raise OSError(errno.ENODEV, os.strerror(errno.ENODEV))
 
-    monkeypatch.setattr(bilevel.cli, "_MAP_MIN_BYTES", MAPPED)
+    monkeypatch.setattr(bilevel.pgm, "_MAP_MIN_BYTES", MAPPED)
     monkeypatch.setattr(mmap, "mmap", no_map)
     assert run_main(tmp_path / "unmappable", data, ARGV, capsys) == expected
     assert len(refused) == 1
 
 
 def test_a_directory_input_exits_1(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(bilevel.cli, "_MAP_MIN_BYTES", MAPPED)
+    monkeypatch.setattr(bilevel.pgm, "_MAP_MIN_BYTES", MAPPED)
     (tmp_path / "in.pgm").mkdir()
     monkeypatch.chdir(tmp_path)
     assert bilevel.cli.main(ARGV) == 1

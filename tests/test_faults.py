@@ -1,18 +1,22 @@
-"""Faults injected at every file-system call of a CLI run, and the rollback that follows.
+"""Faults injected at every file-system call of a CLI run or a ``save_pgm``, and the rollback that follows.
 
 The sweep applies the method of Pillai et al., "All File Systems Are Not
 Created Equal: On the Complexity of Crafting Crash-Consistent
 Applications" (OSDI 2014) to one process: record its file-system calls,
-then fail each one. ``Faults`` stands in for ``os`` in ``bilevel.cli``
-(``mkdir``, ``rmdir``, ``unlink``, ``replace`` and ``lstat``) and for the
-``open`` it calls. It numbers every such call and raises ``OSError`` at the
-numbers it is given. Each run shape is recorded once without faults, then
-rerun once per call k with k failing, under each errno in ``ERRNOS``, and
-once more per rollback call j after k, with j failing too. Every rerun
-must exit 1 with one stderr line that names the k-th failure, try every
-undo, and leave the directory as it was. Two entries may differ: a target
-that existed before the run and was replaced, and the entry whose undo j
-failed, with the directories above it that the run made.
+then fail each one. ``Faults`` stands in for ``os`` (``mkdir``, ``rmdir``,
+``unlink``, ``replace`` and ``lstat``) and for ``open`` in both
+``bilevel.cli``, which plans the targets and opens the input, and
+``bilevel.pgm``, which stages and commits every file. It numbers every such
+call and raises ``OSError`` at the numbers it is given. Each run shape is
+recorded once without faults, then rerun once per call k with k failing,
+under each errno in ``ERRNOS``, and once more per rollback call j after k,
+with j failing too. Every rerun must exit 1 with one stderr line that
+names the k-th failure, try every undo, and leave the directory as it
+was. Two entries may differ: a target that existed before the run and was
+replaced, and the entry whose undo j failed, with the directories above
+it that the run made. A ``save_pgm`` onto a planted target is swept the
+same way, and must raise the k-th failure and leave every entry as it
+was, but for the temp file whose undo j failed.
 
 Writes inside a payload are not calls of ``open``; the ``RLIMIT_FSIZE``
 test reaches them in a subprocess.
@@ -30,6 +34,7 @@ import numpy as np
 import pytest
 
 import bilevel.cli
+import bilevel.pgm
 from bilevel import GrayImage, save_pgm
 from helpers import run_python, snapshot
 
@@ -59,7 +64,7 @@ SHAPES = {
 
 
 class Faults:
-    """``os`` and ``open`` for ``bilevel.cli``: numbers each proxied call, failing the chosen ones."""
+    """``os`` and ``open`` for ``cli`` and ``pgm``: numbers each proxied call, failing the chosen ones."""
 
     def __init__(self, fail: dict[int, int]):
         self.fail = fail  # call number, from 1, to the errno it raises
@@ -81,6 +86,12 @@ class Faults:
             raise OSError(self.fail[number], f"injected at call {number}", os.fspath(path))
         return real(path, *args, **kwargs)
 
+    def patch(self, patch) -> None:
+        """Stand in for ``os`` and ``open`` in both modules while ``patch`` (a monkeypatch context) lasts."""
+        for module in (bilevel.cli, bilevel.pgm):
+            patch.setattr(module, "os", self)
+            patch.setattr(module, "open", self.open_file, raising=False)
+
 
 def tiny_input(directory: Path) -> None:
     save_pgm(directory / "in.pgm", GrayImage.from_flat(4, 2, [10, 20, 30, 40, 200, 210, 220, 230]))
@@ -97,8 +108,7 @@ def run_shape(directory: Path, shape: str, fail: dict[int, int], monkeypatch, ca
     faults = Faults(fail)
     with monkeypatch.context() as patch:
         patch.chdir(directory)
-        patch.setattr(bilevel.cli, "os", faults)
-        patch.setattr(bilevel.cli, "open", faults.open_file, raising=False)
+        faults.patch(patch)
         code = bilevel.cli.main(["-i", "in.pgm", "-o", "out.pgm", *args])
     out, err = capsys.readouterr()
     return code, out, err, faults.calls, before, snapshot(directory)
@@ -142,6 +152,51 @@ def test_every_failing_call_rolls_back_the_run(tmp_path, monkeypatch, capsys, sh
                 both = run({k: errno_k, j: errno_k})
                 assert both[3] == failed[3]
                 check_rolled_back(both, k, j, clean)
+
+
+def save_planted(directory: Path, plant: str, fail: dict[int, int], monkeypatch) -> tuple:
+    """The error raised, calls, and the snapshots before and after one ``save_pgm`` onto a planted target."""
+    directory.mkdir()
+    (directory / "victim.pgm").write_bytes(b"the symlinked target's file")
+    if plant == "symlink":
+        (directory / "out.pgm").symlink_to("victim.pgm")
+    else:
+        (directory / "out.pgm").write_bytes(b"an earlier image")
+    before = snapshot(directory)
+    faults = Faults(fail)
+    error = None
+    with monkeypatch.context() as patch:
+        patch.chdir(directory)
+        faults.patch(patch)
+        try:
+            save_pgm("out.pgm", GrayImage.from_flat(2, 2, [0, 64, 128, 255]), "P2")
+        except OSError as exc:
+            error = exc
+    return error, faults.calls, before, snapshot(directory)
+
+
+@pytest.mark.parametrize("plant", ["file", "symlink"])
+def test_every_failing_call_of_save_pgm_leaves_the_target_as_it_was(tmp_path, monkeypatch, plant):
+    runs = itertools.count()
+
+    def run(fail):
+        return save_planted(tmp_path / str(next(runs)), plant, fail, monkeypatch)
+
+    error, calls, before, clean = run({})
+    assert error is None and [name for name, _ in calls] == ["open", "replace"]
+    assert clean["victim.pgm"] == before["victim.pgm"] and clean["out.pgm"][0] == "file"
+    for k in range(1, len(calls) + 1):
+        for errno_k in ERRNOS:
+            error, failed, before, after = run({k: errno_k})
+            assert (error.errno, error.strerror) == (errno_k, f"injected at call {k}")
+            assert after == before
+            assert failed[:k] == calls[:k] and {name for name, _ in failed[k:]} <= set(UNDOS)
+            for j in range(k + 1, len(failed) + 1):
+                # The undo that fails is the temp file's unlink, so the temp file alone stays.
+                error, both, before, after = run({k: errno_k, j: errno_k})
+                assert (error.strerror, both) == (f"injected at call {k}", failed)
+                assert set(after) - set(before) == {f".out.pgm.tmp-{os.getpid()}"}
+                assert {name: after[name] for name in before} == before
 
 
 def test_the_sweep_reaches_every_kind_of_call(tmp_path, monkeypatch, capsys):
@@ -253,7 +308,7 @@ def test_a_map_refused_for_lack_of_memory_is_not_read_instead(tmp_path, monkeypa
     def no_memory(*args, **kwargs):
         raise OSError(errno.ENOMEM, os.strerror(errno.ENOMEM))
 
-    monkeypatch.setattr(bilevel.cli, "_MAP_MIN_BYTES", 1)
+    monkeypatch.setattr(bilevel.pgm, "_MAP_MIN_BYTES", 1)
     monkeypatch.setattr(mmap, "mmap", no_memory)
     monkeypatch.chdir(tmp_path)
     assert bilevel.cli.main(["-i", "in.pgm", "-o", "out.pgm", "-m", "mean"]) == 1

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from bilevel import BinaryImage, GrayImage, RunReport, build_histogram, iterative_optimum_threshold
+from bilevel import (
+    BinaryImage,
+    GrayImage,
+    IterationStep,
+    RunReport,
+    build_histogram,
+    iterative_optimum_threshold,
+    mean_threshold,
+)
 
 
 def test_from_flat_row_major_layout():
@@ -73,6 +81,61 @@ def test_fields_cannot_be_assigned(value, field):
     with pytest.raises(AttributeError):
         setattr(value, field, before)
     assert getattr(value, field) is before
+
+
+def _value_cases():
+    """Per public value type: a value, its equal made apart, a value it must not equal, its repr, hashable."""
+    gray = GrayImage.from_flat(2, 1, [3, 200])
+    result, twin = (iterative_optimum_threshold(GrayImage.from_flat(2, 1, [3, 200])) for _ in "ab")
+    step = "IterationStep(estimate=101.0, m1=3.0, m2=200.0, total_mean=101.5)"
+    result_repr = (
+        f"ThresholdResult(method='iterative', estimate=101.5, optimum=101.5, iterations=({step},), "
+        "converged=True)"
+    )
+    report, report_twin = (
+        RunReport(input_path="in.pgm", width=2, height=1, iterative_result=r) for r in (result, twin)
+    )
+    two_levels = [0, 255]
+    return {
+        # Images and histograms compare by pixels or counts, never across types, and are unhashable.
+        "GrayImage": (
+            gray, GrayImage.from_flat(2, 1, [3, 200]), BinaryImage.from_flat(2, 1, two_levels),
+            "GrayImage(width=2, height=1)", False,
+        ),
+        "BinaryImage": (
+            BinaryImage.from_flat(2, 1, two_levels), BinaryImage.from_flat(2, 1, two_levels),
+            GrayImage.from_flat(2, 1, two_levels), "BinaryImage(width=2, height=1)", False,
+        ),
+        "Histogram": (
+            build_histogram(gray), build_histogram(GrayImage.from_flat(1, 2, [200, 3])),
+            build_histogram(GrayImage.from_flat(2, 1, [3, 201])), "Histogram(total=2)", False,
+        ),
+        # The dataclass results keep the dataclass repr, equality and hash.
+        "IterationStep": (
+            result.iterations[0], twin.iterations[0], IterationStep(101.0, 3.0, 200.0, 101.0), step, True,
+        ),
+        "ThresholdResult": (result, twin, mean_threshold(gray), result_repr, True),
+        "RunReport": (
+            report, report_twin, RunReport(input_path="in.pgm", width=2, height=1, mean_result=result),
+            "RunReport(input_path='in.pgm', width=2, height=1, mean_result=None, "
+            f"iterative_result={result_repr}, histogram_input_path=None, histogram_output_path=None)",
+            True,
+        ),
+    }
+
+
+@pytest.mark.parametrize("kind", list(_value_cases()))
+def test_equality_repr_and_hashing_of_value_types(kind):
+    value, equal, other, text, hashable = _value_cases()[kind]
+    assert value == equal and not value != equal and value is not equal
+    assert value != other and not value == other
+    assert value.__eq__("x") is NotImplemented and value != "x"
+    assert repr(value) == text
+    if hashable:
+        assert hash(value) == hash(equal)
+    else:
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(value)
 
 
 def read_only(arr: np.ndarray) -> np.ndarray:

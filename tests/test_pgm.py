@@ -1,4 +1,5 @@
 import contextlib
+import os
 import tracemalloc
 from unittest import mock
 
@@ -23,7 +24,13 @@ from bilevel import (
     save_pgm,
     write_pgm,
 )
-from helpers import OVERLONG_DIGIT_INPUTS, naive_plain_encoding, naive_plain_samples, random_gray_image
+from helpers import (
+    OVERLONG_DIGIT_INPUTS,
+    naive_plain_encoding,
+    naive_plain_samples,
+    random_gray_image,
+    snapshot,
+)
 
 
 class TestReadPgm:
@@ -252,6 +259,81 @@ _SEPARATORS = st.sampled_from(
 # What may stand between header tokens: runs of whitespace and '#' comments,
 # which end at a line break and may hold any other byte.
 _WHITESPACE_BYTES = st.sampled_from(b" \t\n\r\x0b\x0c")
+class TestSavePgm:
+    """``save_pgm`` writes all of a file or nothing, through a temp file renamed onto the target."""
+
+    IMAGE = GrayImage(np.arange(64, dtype=np.uint8).reshape(8, 8) * 4)
+
+    def test_a_failure_mid_body_leaves_the_target_as_it_was(self, tmp_path):
+        real_body = bilevel.pgm._pgm_body
+
+        def failing_body(*args):
+            chunks = real_body(*args)
+            yield next(chunks)
+            raise MemoryError
+
+        target = tmp_path / "out.pgm"
+        target.write_bytes(write_pgm(GrayImage.from_flat(2, 1, [7, 9]), "P2"))
+        before = snapshot(tmp_path)
+        # 16-pixel sub-blocks: the 8 x 8 P2 body is four chunks, and fails after the first.
+        with mock.patch.object(bilevel.pgm, "_SUB_BLOCK_PIXELS", 16), mock.patch.object(
+            bilevel.pgm, "_pgm_body", failing_body
+        ), pytest.raises(MemoryError):
+            save_pgm(target, self.IMAGE, "P2")
+        assert snapshot(tmp_path) == before  # no .tmp- entry either
+
+    @pytest.mark.parametrize("plant", ["symlink", "hard-link", "file"])
+    def test_the_entry_at_the_target_is_replaced_not_written_through(self, tmp_path, plant):
+        victim = tmp_path / "victim.pgm"
+        victim.write_bytes(b"an image that is not the target")
+        victim.chmod(0o600)
+        target = tmp_path / "out.pgm"
+        if plant == "symlink":
+            target.symlink_to(victim.name)
+        elif plant == "hard-link":
+            os.link(victim, target)
+        else:
+            target.write_bytes(victim.read_bytes())
+            target.chmod(0o600)
+        before = snapshot(tmp_path)
+        umask = os.umask(0o022)
+        try:
+            save_pgm(target, self.IMAGE)
+        finally:
+            os.umask(umask)
+        assert snapshot(tmp_path)["victim.pgm"] == before["victim.pgm"]
+        assert not target.is_symlink() and target.read_bytes() == write_pgm(self.IMAGE)
+        assert (target.stat().st_mode & 0o777, victim.stat().st_nlink) == (0o644, 1)  # mode from the umask
+        assert sorted(os.listdir(tmp_path)) == ["out.pgm", "victim.pgm"]
+
+    @pytest.mark.parametrize("plant", ["symlink", "file"])
+    def test_an_entry_at_the_temp_name_fails_the_save_and_is_left_as_it_was(self, tmp_path, plant):
+        (tmp_path / "out.pgm").write_bytes(b"an earlier image")
+        tmp = tmp_path / f".out.pgm.tmp-{os.getpid()}"
+        if plant == "file":
+            tmp.write_bytes(b"left by a killed process")
+        else:
+            tmp.symlink_to("out.pgm")
+        before = snapshot(tmp_path)
+        with pytest.raises(FileExistsError) as raised:
+            save_pgm(tmp_path / "out.pgm", self.IMAGE)
+        assert raised.value.filename == str(tmp)
+        assert snapshot(tmp_path) == before
+
+    @pytest.mark.parametrize("path", ["", "/"])
+    def test_a_path_without_a_file_name_is_refused_before_any_write(self, tmp_path, monkeypatch, path):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ValueError, match="has an empty name"):
+            save_pgm(path, self.IMAGE)
+        assert os.listdir(tmp_path) == []
+
+    def test_a_missing_directory_is_named_by_the_temp_path(self, tmp_path):
+        with pytest.raises(FileNotFoundError) as raised:
+            save_pgm(tmp_path / "no" / "out.pgm", self.IMAGE)
+        assert raised.value.filename == str(tmp_path / "no" / f".out.pgm.tmp-{os.getpid()}")
+        assert os.listdir(tmp_path) == []
+
+
 _COMMENTS = st.builds(
     lambda text, end: b"#" + text.replace(b"\n", b"").replace(b"\r", b"") + end,
     st.binary(max_size=8),
