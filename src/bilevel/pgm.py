@@ -440,10 +440,15 @@ def save_pgm(path: str | os.PathLike, image: GrayImage | BinaryImage, flavor: st
     is replaced, not written through; the new file's mode comes from the
     umask; the directory must accept new entries; and an entry already at
     the temp name, such as a save to the same path running at once in the
-    same process, fails the save with ``FileExistsError``. The flavor is
-    checked before the temp file is created, and a path without a file
-    name, such as ``""``, raises ``ValueError``.
+    same process, fails the save with ``FileExistsError``. An existing
+    directory at ``path`` (not a symlink to one, which is replaced) raises
+    ``IsADirectoryError`` naming ``path`` before anything is encoded. The
+    flavor is checked before the temp file is created, and a path without a
+    file name, such as ``""``, raises ``ValueError``.
     """
+    with contextlib.suppress(FileNotFoundError, NotADirectoryError):  # a missing entry is staged
+        if Path(path).name and stat.S_ISDIR(os.lstat(path).st_mode):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
     _stage_and_commit([(Path(path), _pgm_file(image.pixels, flavor))])
 
 

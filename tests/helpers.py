@@ -1,21 +1,35 @@
-"""Shared generators, naive reference oracles, and a CLI runner for the tests.
+"""Shared generators, naive reference oracles, a CLI runner, and the file-contract model's runs and fault plans.
 
 The naive oracles deliberately take the dumbest possible route (filter the
 raw pixel list, Python-int accumulation) so they share no code path with
 the histogram-driven implementations they check.
 """
 
+import builtins
+import contextlib
+import errno
 import hashlib
+import io
 import os
 import subprocess
 import sys
+from collections import namedtuple
+from collections.abc import Callable
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
+import pytest
 
+import bilevel.cli
+import bilevel.pgm
 from bilevel import GrayImage, PgmFormatError, SampleRangeError, TruncatedDataError
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+
+ERRNOS = (errno.EIO, errno.ENOSPC, errno.EACCES)
+PROXIED = ("mkdir", "rmdir", "unlink", "replace", "lstat")
+UNDOS = ("unlink", "rmdir")  # README's rollback unlinks files and removes directories, and does nothing else
 
 # Digit runs past Python's default int/str conversion limit (4300 digits):
 # read_pgm must refuse each with a PgmError, on any interpreter.
@@ -152,3 +166,124 @@ def snapshot(directory: Path) -> dict[str, tuple]:
         else:
             entries[name] = ("file", hashlib.sha256(path.read_bytes()).hexdigest())
     return entries
+
+
+# Eight pixels a row, so that with blocks of one row each body is two chunks.
+IMAGE = GrayImage.from_flat(8, 2, [10, 20, 30, 40, 50, 60, 70, 80, 200, 210, 220, 230, 240, 250, 5, 255])
+
+
+def entry(root: Path, path) -> str:
+    """The snapshot name of the entry that ``path`` names: its directory resolved, its name kept."""
+    full = root / path
+    return (Path(os.path.realpath(full.parent)) / full.name).relative_to(root).as_posix()
+
+
+class Run(NamedTuple):
+    """One CLI run of the file-contract model: ``-i``, ``-o``, ``-m`` and the optional flags."""
+    input: str
+    output: str
+    method: str = "mean"
+    ascii: bool = False
+    report: str | None = None
+    histograms: str | None = None
+
+    def argv(self) -> list[str]:
+        flags = [("--report", self.report), ("--histograms", self.histograms)]
+        return ["-i", self.input, "-o", self.output, "-m", self.method, *["--ascii"] * self.ascii,
+                *[arg for flag, value in flags if value is not None for arg in (flag, value)]]
+
+    def targets(self) -> list[str]:
+        """Every path the run writes, named as README names them."""
+        stem = self.output[:-4] if self.output.lower().endswith(".pgm") else self.output
+        images = [f"{stem}.mean.pgm", f"{stem}.iter.pgm"] if self.method == "compare" else [self.output]
+        csvs = [f"{self.histograms}/{Path(self.input).stem}.{kind}.csv" for kind in ("input", "output")]
+        return [*images, *(csvs if self.histograms is not None else []), *[self.report] * (self.report is not None)]
+
+
+class Plan(NamedTuple):
+    """Which proxied calls fail, as ``Faults`` asks it, and which body chunk raises.
+
+    The n-th call of a kind, as ``("replace", 2)``, fails with ``how``, and so may the m-th undo of a kind;
+    or chunk ``chunk`` raises ``raises``: an ``OSError`` naming the chunk, or the bare class.
+    """
+    call: tuple[str, int] | None = None
+    undo: tuple[str, int] | None = None
+    how: int = errno.EIO
+    chunk: int | None = None
+    raises: type[BaseException] = OSError
+
+    def __call__(self, name: str, count: int) -> int | None:
+        """The errno that the ``count``-th call of ``name`` raises, or None."""
+        return self.how if (name, count) in (self.call, self.undo) else None
+
+
+class Faults:
+    """``os`` and ``open`` for ``cli`` and ``pgm``: numbers each proxied call, failing those ``fail`` picks."""
+
+    def __init__(self, fail: Callable[[str, int], int | None]):
+        self.fail = fail  # (name, count of that name's calls so far) -> the errno to raise, or None
+        self.calls: list[tuple[str, str]] = []
+        self.fired: list[int] = []  # the numbers, from 1, of the calls made to fail
+
+    def __getattr__(self, name):
+        real = getattr(os, name)
+        if name not in PROXIED:
+            return real
+        return lambda path, *args, **kwargs: self.call(name, real, path, *args, **kwargs)
+
+    def open_file(self, file, *args, **kwargs):
+        return self.call("open", builtins.open, file, *args, **kwargs)
+
+    def call(self, name, real, path, *args, **kwargs):
+        self.calls.append((name, os.fspath(path)))
+        number = len(self.calls)
+        how = self.fail(name, [other for other, _ in self.calls].count(name))
+        if how:
+            self.fired.append(number)
+            raise OSError(how, f"injected at call {number}", os.fspath(path))
+        return real(path, *args, **kwargs)
+
+    def patch(self, patch) -> None:
+        """Stand in for ``os`` and ``open`` in both modules while ``patch`` (a monkeypatch context) lasts."""
+        for module in (bilevel.cli, bilevel.pgm):
+            patch.setattr(module, "os", self)
+            patch.setattr(module, "open", self.open_file, raising=False)
+
+
+# A run's exit code (or what save_pgm raised or main let escape), stdout, stderr, every proxied call as (name, path),
+# the numbers of those made to fail, the failure that started the rollback ("call k", "chunk k", the class a chunk
+# raised, or None), what a failed undo may leave (its entry, the directories above it), and the body chunks drawn.
+Outcome = namedtuple("Outcome", "result stdout stderr calls fired injected left chunks")
+
+
+def execute(root: Path, call, plan: Plan = Plan()) -> Outcome:
+    """Run ``call`` in ``root`` under ``plan``, with blocks of one ``IMAGE`` row."""
+    proxy, drawn, real_body = Faults(plan), [], bilevel.pgm._pgm_body
+
+    def body(*args):
+        for chunk in real_body(*args):
+            drawn.append(chunk)
+            if len(drawn) == plan.chunk:
+                raise OSError(errno.EIO, f"injected at chunk {plan.chunk}") if plan.raises is OSError else plan.raises
+            yield chunk
+
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        patch.chdir(root)
+        proxy.patch(patch)
+        patch.setattr(bilevel.pgm, "_pgm_body", body)
+        for name in ("_BLOCK_PIXELS", "_SUB_BLOCK_PIXELS"):
+            patch.setattr(bilevel.pgm, name, IMAGE.width)
+        try:
+            result = call()
+        except SystemExit as exc:
+            result = exc.code
+        except (OSError, MemoryError, ValueError, KeyboardInterrupt) as exc:
+            result = exc
+    undos = [n for n in proxy.fired if proxy.calls[n - 1][0] in UNDOS]  # tried among the others, starting no rollback
+    injected = f"call {proxy.fired[0]}" if proxy.fired[:1] != undos[:1] else None
+    if plan.chunk and len(drawn) >= plan.chunk:
+        injected = f"chunk {plan.chunk}" if plan.raises is OSError else plan.raises
+    undone = [Path(entry(root, proxy.calls[n - 1][1])) for n in undos]
+    left = {p.as_posix() for path in undone for p in (path, *path.parents[:-1])}
+    return Outcome(result, out.getvalue(), err.getvalue(), proxy.calls, proxy.fired, injected, left, len(drawn))

@@ -26,7 +26,7 @@ from bilevel import (
     save_pgm,
     write_pgm,
 )
-from helpers import OVERLONG_DIGIT_INPUTS, bimodal_gray_image, run_cli, snapshot
+from helpers import OVERLONG_DIGIT_INPUTS, Plan, Run, bimodal_gray_image, execute, run_cli, snapshot
 
 
 def make_pgm(directory: Path, name: str, width: int, height: int, values) -> Path:
@@ -35,51 +35,7 @@ def make_pgm(directory: Path, name: str, width: int, height: int, values) -> Pat
     return path
 
 
-def no_temp_files(directory: Path) -> bool:
-    return not [p for p in directory.rglob("*") if ".tmp-" in p.name]
-
-
-REAL_REPLACE = os.replace
-
-
-def fail_rename(monkeypatch, fail_at: int) -> None:
-    """Let the first ``fail_at`` calls to ``os.replace`` through; every later one raises."""
-    renames = []
-
-    def replace(src, dst):
-        renames.append(dst)
-        if len(renames) > fail_at:
-            raise OSError("injected rename failure")
-        REAL_REPLACE(src, dst)
-
-    monkeypatch.setattr(bilevel.cli.os, "replace", replace)
-
-
-def fail_body_chunk(monkeypatch, directory: Path, fail_at: int) -> list[dict]:
-    """Make the ``fail_at``-th body chunk the CLI encodes raise; return the temp-file sizes at each."""
-    real_pgm_body = bilevel.pgm._pgm_body
-    built = []
-
-    def pgm_body(*args):
-        for chunk in real_pgm_body(*args):
-            built.append({p.name: p.stat().st_size for p in directory.glob(".*.tmp-*")})
-            if len(built) == fail_at:
-                raise RuntimeError("injected encode failure")
-            yield chunk
-
-    monkeypatch.setattr(bilevel.pgm, "_pgm_body", pgm_body)
-    return built
-
-
-def exit_code(argv: list[str]) -> int:
-    """``bilevel.cli.main``'s exit code, also when it exits through ``SystemExit``."""
-    try:
-        return bilevel.cli.main(argv)
-    except SystemExit as exc:
-        return exc.code
-
-
-# The -m mean output of in.pgm in the plan table below, as a snapshot entry.
+# The -m mean output of a 4x1 in.pgm of 10, 20, 30 and 40, as a snapshot entry.
 MEAN_OUT = (
     "file", hashlib.sha256(write_pgm(BinaryImage.from_flat(4, 1, [0, 0, 255, 255]))).hexdigest()
 )
@@ -93,7 +49,7 @@ class TestSingleMethodRuns:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "mean estimate=25 optimum=25 iterations=0\n"
         assert load_pgm(out).pixels.tolist() == [[0, 0, 255, 255]]
-        assert no_temp_files(tmp_path)
+        assert not [p for p in tmp_path.rglob("*") if ".tmp-" in p.name]
 
     def test_iterative_on_constant_image_is_degenerate(self, tmp_path):
         inp = make_pgm(tmp_path, "flat.pgm", 3, 3, [7] * 9)
@@ -141,12 +97,9 @@ class TestCompareRuns:
         assert proc.returncode == 0
         assert len(proc.stdout.splitlines()) == 2
 
-    def test_compare_without_report_is_a_usage_error(self, tmp_path):
-        inp = make_pgm(tmp_path, "doc.pgm", 2, 1, [0, 255])
-        proc = run_cli(["-i", inp, "-o", tmp_path / "o.pgm", "-m", "compare"])
-        assert proc.returncode == 3
-        assert "--report" in proc.stderr
-        assert not (tmp_path / "o.mean.pgm").exists()
+    def test_compare_without_report_is_a_usage_error(self, contract):
+        assert contract.check_cli(Run("in.pgm", "o.pgm", "compare")) == 3
+        assert "--report" in contract.last.stderr
 
 
 class TestHistogramsAndReport:
@@ -170,13 +123,9 @@ class TestHistogramsAndReport:
 
     # An empty path is a path, as with -o '': the working directory.
     @pytest.mark.parametrize("method", ["mean", "compare"])
-    def test_an_empty_report_path_is_a_directory_target(self, tmp_path, method):
-        make_pgm(tmp_path, "in.pgm", 4, 1, [10, 20, 30, 40])
-        before = snapshot(tmp_path)
-        proc = run_cli(["-i", "in.pgm", "-o", "out.pgm", "-m", method, "--report", ""], cwd=tmp_path)
-        assert proc.returncode == 1
-        assert proc.stderr == "bilevel: error: cannot write outputs: [Errno 21] Is a directory: '.'\n"
-        assert snapshot(tmp_path) == before
+    def test_an_empty_report_path_is_a_directory_target(self, contract, method):
+        assert contract.check_cli(Run("in.pgm", "out.pgm", method, report="")) == 1  # the listing as it was
+        assert contract.last.stderr == "bilevel: error: cannot write outputs: [Errno 21] Is a directory: '.'\n"
 
     def test_an_empty_histograms_path_writes_into_the_working_directory(self, tmp_path):
         make_pgm(tmp_path, "in.pgm", 4, 1, [10, 20, 30, 40])
@@ -199,33 +148,17 @@ class TestHistogramsAndReport:
 
 
 class TestFailureModes:
-    def test_missing_input_exits_1_without_outputs(self, tmp_path):
-        out = tmp_path / "out.pgm"
-        proc = run_cli(["-i", tmp_path / "nope.pgm", "-o", out, "-m", "mean"])
-        assert proc.returncode == 1
-        assert proc.stderr.strip()
-        assert not out.exists()
+    def test_missing_input_exits_1_without_outputs(self, contract):
+        assert contract.check_cli(Run("missing.pgm", "out.pgm")) == 1
 
-    def test_malformed_input_exits_2_without_outputs(self, tmp_path):
-        bad = tmp_path / "bad.pgm"
-        bad.write_bytes(b"P2\n2 2\n255\n0 0 0\n")
-        out = tmp_path / "out.pgm"
-        proc = run_cli(["-i", bad, "-o", out, "-m", "mean"])
-        assert proc.returncode == 2
-        assert "truncated" in proc.stderr
-        assert not out.exists()
+    def test_malformed_input_exits_2_without_outputs(self, contract):
+        assert contract.check_cli(Run("bad.pgm", "out.pgm")) == 2  # a P2 of 2x2 with three samples
+        assert "truncated" in contract.last.stderr
 
     @pytest.mark.parametrize("name", sorted(OVERLONG_DIGIT_INPUTS))
-    def test_overlong_digit_run_exits_2_with_one_error_line(self, tmp_path, name):
-        bad = tmp_path / "bad.pgm"
-        bad.write_bytes(OVERLONG_DIGIT_INPUTS[name])
-        out = tmp_path / "out.pgm"
-        proc = run_cli(["-i", bad, "-o", out, "-m", "mean"])
-        assert proc.returncode == 2
-        assert len(proc.stderr.splitlines()) == 1
-        assert proc.stderr.startswith("bilevel: error: ")
-        assert "Traceback" not in proc.stderr
-        assert not out.exists()
+    def test_overlong_digit_run_exits_2_with_one_error_line(self, contract, name):
+        (contract.root / "bad.pgm").write_bytes(OVERLONG_DIGIT_INPUTS[name])
+        assert contract.check_cli(Run("bad.pgm", "out.pgm")) == 2  # one error line, no output
 
     # The range error quotes the sample in full, however many digits it has,
     # also where uint8 arithmetic would wrap 300 to 44.
@@ -238,15 +171,10 @@ class TestFailureModes:
         ],
         ids=["300", "1000", "5000-digits"],
     )
-    def test_sample_above_maxval_exits_2_with_its_value(
-        self, tmp_path, monkeypatch, capsys, data, sample
-    ):
-        (tmp_path / "in.pgm").write_bytes(data)
-        monkeypatch.chdir(tmp_path)
-        assert bilevel.cli.main(["-i", "in.pgm", "-o", "out.pgm", "-m", "mean"]) == 2
-        err = f"bilevel: error: in.pgm: sample value {sample} exceeds maxval 255\n"
-        assert capsys.readouterr() == ("", err)
-        assert os.listdir(tmp_path) == ["in.pgm"]
+    def test_sample_above_maxval_exits_2_with_its_value(self, contract, data, sample):
+        (contract.root / "bad.pgm").write_bytes(data)
+        assert contract.check_cli(Run("bad.pgm", "out.pgm")) == 2
+        assert contract.last.stderr == f"bilevel: error: bad.pgm: sample value {sample} exceeds maxval 255\n"
 
     def test_zero_padded_samples_read_as_their_values(self, tmp_path, monkeypatch, capsys):
         (tmp_path / "in.pgm").write_bytes(b"P2\n3 1\n255\n0255 000000000000000000000000007 00100\n")
@@ -264,205 +192,109 @@ class TestFailureModes:
         proc = run_cli(["-o", tmp_path / "o.pgm"])
         assert proc.returncode == 3
 
-    def test_unwritable_output_leaves_no_partial_files(self, tmp_path):
-        inp = make_pgm(tmp_path, "img.pgm", 4, 1, [10, 20, 30, 40])
-        report = tmp_path / "report.json"
-        proc = run_cli(
-            ["-i", inp, "-o", tmp_path / "missing-dir" / "out.pgm",
-             "-m", "mean", "--report", report]
-        )
-        assert proc.returncode == 1
-        assert not report.exists()
-        assert no_temp_files(tmp_path)
+    # Named scenarios of the file contract, each replayed on the model in tests/test_contract.py,
+    # which checks the exit code, the stderr line and every entry afterwards.
+    def test_unwritable_output_leaves_no_partial_files(self, contract):
+        assert contract.check_cli(Run("in.pgm", "missing/out.pgm", report="r.json")) == 1
 
-    def test_directory_target_leaves_listing_unchanged(self, tmp_path):
-        inp = make_pgm(tmp_path, "in.pgm", 4, 1, [10, 20, 30, 40])
-        (tmp_path / "rep.json").mkdir()
-        before = snapshot(tmp_path)
-        proc = run_cli(
-            ["-i", inp, "-o", tmp_path / "out.pgm", "-m", "mean", "--report", tmp_path / "rep.json"]
-        )
-        assert proc.returncode == 1
-        assert "rep.json" in proc.stderr
-        assert snapshot(tmp_path) == before
+    def test_directory_target_leaves_listing_unchanged(self, contract):
+        contract.plant("r.json", "dir")
+        assert contract.check_cli(Run("in.pgm", "out.pgm", report="r.json")) == 1
 
     @pytest.mark.parametrize(
         "method,report",
         [("mean", "out.pgm"), ("compare", "out.iter.pgm"), ("mean", "h/in.input.csv"),
          ("mean", "alias/out.pgm")],
     )
-    def test_colliding_targets_exit_3_and_leave_listing_unchanged(self, tmp_path, method, report):
-        inp = make_pgm(tmp_path, "in.pgm", 4, 1, [10, 20, 30, 40])
-        (tmp_path / "alias").symlink_to(tmp_path, target_is_directory=True)
-        before = snapshot(tmp_path)
-        proc = run_cli(
-            ["-i", inp, "-o", tmp_path / "out.pgm", "-m", method,
-             "--report", tmp_path / report, "--histograms", tmp_path / "h"]
-        )
-        assert proc.returncode == 3
-        assert str(tmp_path / report) in proc.stderr
-        assert snapshot(tmp_path) == before
+    def test_colliding_targets_exit_3_and_leave_listing_unchanged(self, contract, method, report):
+        # The model checks that the refusal names the report (alias/ is a symlink to the directory).
+        assert contract.check_cli(Run("in.pgm", "out.pgm", method, report=report, histograms="h")) == 3
 
     @pytest.mark.parametrize(
         "args",
-        [["-m", "iterative", "-o", "in.pgm"],
-         ["-m", "mean", "-o", "alias/in.pgm"],
-         ["-m", "compare", "-o", "out.pgm", "--report", "in.pgm"]],
+        [Run("in.pgm", "in.pgm", "iterative"), Run("in.pgm", "alias/in.pgm"),
+         Run("in.pgm", "out.pgm", "compare", report="in.pgm")],
     )
-    def test_output_equal_to_input_exits_3_and_leaves_input_unchanged(self, tmp_path, args):
-        inp = make_pgm(tmp_path, "in.pgm", 4, 1, [10, 20, 30, 40])
-        (tmp_path / "alias").symlink_to(tmp_path, target_is_directory=True)
-        original = inp.read_bytes()
-        before = snapshot(tmp_path)
-        proc = run_cli(["-i", "in.pgm", *args], cwd=tmp_path)
-        assert proc.returncode == 3
-        assert f"output {args[-1]} would overwrite the input" in proc.stderr
-        assert inp.read_bytes() == original
-        assert snapshot(tmp_path) == before
+    def test_output_equal_to_input_exits_3_and_leaves_input_unchanged(self, contract, args):
+        assert contract.check_cli(args) == 3
+        assert f"output {args.report or args.output} would overwrite the input" in contract.last.stderr
 
     @pytest.mark.parametrize("output", [".", "/", "", "..", "sub/.."])
     def test_compare_output_without_a_file_name_exits_3(self, tmp_path, output):
         make_pgm(tmp_path, "in.pgm", 4, 1, [10, 20, 30, 40])
         before = snapshot(tmp_path)
-        proc = run_cli(["-i", "in.pgm", "-o", output, "--report", "r.json"], cwd=tmp_path)
-        assert proc.returncode == 3
-        assert f"bilevel: error: output {output!r} has no file name" in proc.stderr
-        assert "Traceback" not in proc.stderr
+        ran = execute(tmp_path, lambda: bilevel.cli.main(["-i", "in.pgm", "-o", output, "--report", "r.json"]))
+        assert ran.result == 3  # an exit code, not an exception
+        assert f"bilevel: error: output {output!r} has no file name" in ran.stderr
         assert snapshot(tmp_path) == before
         # A missing input still wins; a single output is a directory target.
-        assert run_cli(["-i", "nope.pgm", "-o", output, "--report", "r.json"], cwd=tmp_path).returncode == 1
-        assert run_cli(["-i", "in.pgm", "-o", output, "-m", "mean"], cwd=tmp_path).returncode == 1
+        for argv in (["-i", "nope.pgm", "--report", "r.json"], ["-i", "in.pgm", "-m", "mean"]):
+            assert execute(tmp_path, lambda: bilevel.cli.main([*argv, "-o", output])).result == 1
         assert snapshot(tmp_path) == before
 
-    def test_output_replacing_an_input_named_through_a_file_symlink_exits_3(self, tmp_path):
-        inp = make_pgm(tmp_path, "x.pgm", 4, 1, [10, 20, 30, 40])
-        (tmp_path / "link.pgm").symlink_to("x.pgm")
-        original = inp.read_bytes()
-        before = snapshot(tmp_path)
-        proc = run_cli(["-i", "link.pgm", "-o", "x.pgm", "-m", "iterative"], cwd=tmp_path)
-        assert proc.returncode == 3
-        assert "output x.pgm would overwrite the input" in proc.stderr
-        assert inp.read_bytes() == original
-        assert snapshot(tmp_path) == before
+    def test_output_replacing_an_input_named_through_a_file_symlink_exits_3(self, contract):
+        assert contract.check_cli(Run("lin.pgm", "in.pgm", "iterative")) == 3  # lin.pgm is a symlink to in.pgm
+        assert "output in.pgm would overwrite the input" in contract.last.stderr
 
-    def test_output_replacing_a_hard_link_to_the_input_is_allowed(self, tmp_path):
-        inp = make_pgm(tmp_path, "x.pgm", 4, 1, [10, 20, 30, 40])
-        os.link(inp, tmp_path / "hard.pgm")
-        original = inp.read_bytes()
-        proc = run_cli(["-i", "hard.pgm", "-o", "x.pgm", "-m", "mean"], cwd=tmp_path)
-        assert proc.returncode == 0, proc.stderr
-        assert (tmp_path / "hard.pgm").read_bytes() == original
-        assert load_pgm(inp).pixels.tolist() == [[0, 0, 255, 255]]
+    def test_output_replacing_a_hard_link_to_the_input_is_allowed(self, contract):
+        # The input, hin.pgm, is a hard link to in.pgm: replacing that entry leaves the input's.
+        assert contract.check_cli(Run("hin.pgm", "in.pgm")) == 0
 
     @pytest.mark.parametrize(
-        "argv,code,changed,fail_at",
+        "plant,run,code,faults",
         [
-            pytest.param("-i link.pgm -o link.pgm", 3, {}, None, id="symlinked-input-as-output"),
-            pytest.param("-i in.pgm -o link.pgm", 0, {"link.pgm": MEAN_OUT}, None,
-                         id="symlink-to-input-is-replaced"),
-            pytest.param("-i in.pgm -o dangling.pgm", 0, {"dangling.pgm": MEAN_OUT}, None,
-                         id="dangling-symlink"),
-            # The dangling link existed before the run, so the rollback leaves its entry.
-            pytest.param("-i in.pgm -o dangling.pgm --report r.json", 1,
-                         {"dangling.pgm": MEAN_OUT}, 1, id="dangling-symlink-failed-commit"),
-            pytest.param("-i missing.pgm -o out.pgm --report out.pgm", 1, {}, None,
-                         id="colliding-outputs-missing-input"),
-            pytest.param("-i bad.pgm -o out.pgm --report out.pgm", 2, {}, None,
-                         id="colliding-outputs-malformed-input"),
-            pytest.param("-i bad.pgm -o bad.pgm", 2, {}, None, id="malformed-input-as-output"),
-            pytest.param("-i in.pgm -o dlink", 1, {}, None, id="directory-behind-symlink"),
+            pytest.param(None, Run("lin.pgm", "lin.pgm"), 3, [None], id="symlinked-input-as-output"),
+            pytest.param("input-link", Run("in.pgm", "out.pgm"), 0, [None], id="symlink-to-input-is-replaced"),
+            pytest.param("dangling-link", Run("in.pgm", "out.pgm"), 0, [None], id="dangling-symlink"),
+            # Each rename fails in turn. When the second does, the dangling link at out.pgm
+            # existed before the run, so the rollback leaves its entry (item 4).
+            pytest.param("dangling-link", Run("in.pgm", "out.pgm", report="r.json"), 1,
+                         [("replace", 1), ("replace", 2)], id="dangling-symlink-failed-commit"),
+            pytest.param(None, Run("missing.pgm", "out.pgm", report="out.pgm"), 1, [None], id="colliding-outputs-missing-input"),
+            pytest.param(None, Run("bad.pgm", "out.pgm", report="out.pgm"), 2, [None], id="colliding-outputs-malformed-input"),
+            pytest.param(None, Run("bad.pgm", "bad.pgm"), 2, [None], id="malformed-input-as-output"),
+            pytest.param("dir-link", Run("in.pgm", "out.pgm"), 1, [None], id="directory-behind-symlink"),
         ],
     )
-    def test_target_plan_decisions(self, tmp_path, monkeypatch, argv, code, changed, fail_at):
-        make_pgm(tmp_path, "in.pgm", 4, 1, [10, 20, 30, 40])
-        (tmp_path / "bad.pgm").write_bytes(b"P2\n2 2\n255\n0 0 0\n")
-        (tmp_path / "link.pgm").symlink_to("in.pgm")
-        (tmp_path / "dangling.pgm").symlink_to("nowhere.pgm")
-        (tmp_path / "d").mkdir()
-        (tmp_path / "dlink").symlink_to("d", target_is_directory=True)
-        before = snapshot(tmp_path)
-        monkeypatch.chdir(tmp_path)
-        if fail_at is not None:
-            fail_rename(monkeypatch, fail_at)
-        assert exit_code([*argv.split(), "-m", "mean"]) == code
-        assert snapshot(tmp_path) == {**before, **changed}
+    def test_target_plan_decisions(self, contract, plant, run, code, faults):
+        for call in faults:
+            if plant:
+                contract.plant("out.pgm", plant)
+            assert contract.check_cli(run, Plan(call)) == code
 
-    def test_failed_commit_removes_the_histograms_directory_it_made(self, tmp_path):
-        inp = make_pgm(tmp_path, "in.pgm", 4, 1, [10, 20, 30, 40])
-        (tmp_path / "old").mkdir()
-        before = snapshot(tmp_path)
-        for hist_dir in ("h", "old/a/b"):
-            proc = run_cli(
-                ["-i", inp, "-o", tmp_path / "out.pgm", "-m", "mean",
-                 "--report", tmp_path / "nodir" / "r.json", "--histograms", tmp_path / hist_dir]
-            )
-            assert proc.returncode == 1
-            assert snapshot(tmp_path) == before  # old/ existed before, so it stays
+    def test_failed_commit_removes_the_histograms_directory_it_made(self, contract):
+        contract.plant("a", "dir")  # a/ existed before the run, so it stays
+        for hist in ("h", "a/b/h"):
+            assert contract.check_cli(Run("in.pgm", "out.pgm", report="missing/r.json", histograms=hist)) == 1
 
-    def test_failed_rename_unlinks_every_temp_file(self, tmp_path, monkeypatch, capsys):
-        inp = make_pgm(tmp_path, "in.pgm", 4, 1, [10, 20, 30, 40])
-        args = ["-i", str(inp), "-o", str(tmp_path / "out.pgm"), "-m", "mean",
-                "--report", str(tmp_path / "r.json"), "--histograms", str(tmp_path / "h")]
-        for fail_at in range(4):  # the run commits four files
-            fail_rename(monkeypatch, fail_at)
-            assert bilevel.cli.main(args) == 1
-            assert "injected rename failure" in capsys.readouterr().err
-            assert no_temp_files(tmp_path)
+    def test_failed_rename_unlinks_every_temp_file(self, contract):
+        run = Run("in.pgm", "out.pgm", report="r.json", histograms="h")
+        for n in range(1, 5):  # the run commits four files
+            assert contract.check_cli(run, Plan(("replace", n))) == 1
 
-    def test_failed_rename_rolls_back_the_outputs_it_created(self, tmp_path, monkeypatch, capsys):
-        inp = make_pgm(tmp_path, "in.pgm", 4, 1, [10, 20, 30, 40])
-        (tmp_path / "out.pgm").write_bytes(b"existed before the run")
-        before = snapshot(tmp_path)
-        args = ["-i", str(inp), "-o", str(tmp_path / "out.pgm"), "-m", "mean",
-                "--report", str(tmp_path / "r.json"), "--histograms", str(tmp_path / "h")]
-        for fail_at in range(4):  # the run commits four files
-            fail_rename(monkeypatch, fail_at)
-            assert bilevel.cli.main(args) == 1
-            assert "injected rename failure" in capsys.readouterr().err
-            # The new outputs, their temp files and h/ are gone. out.pgm existed, so its
-            # entry stays, but once renamed onto it holds the run's output: the rollback
-            # does not restore a replaced target yet (ROADMAP item 4 flips this).
-            replaced = {"out.pgm": MEAN_OUT} if fail_at else {}
-            assert snapshot(tmp_path) == {**before, **replaced}
+    def test_failed_rename_rolls_back_the_outputs_it_created(self, contract):
+        # The new outputs, their temp files and h/ are gone. out.pgm existed, so its entry
+        # stays, but once renamed onto it holds the run's output: the rollback does not
+        # restore a replaced target yet (ROADMAP item 4 flips the model's line for this).
+        run = Run("in.pgm", "out.pgm", report="r.json", histograms="h")
+        for n in range(1, 5):  # the run commits four files
+            contract.plant("out.pgm", "file")
+            assert contract.check_cli(run, Plan(("replace", n))) == 1
 
-    def test_exception_while_building_a_payload_leaves_listing_unchanged(
-        self, tmp_path, monkeypatch
-    ):
-        inp = make_pgm(tmp_path, "in.pgm", 4, 1, [10, 20, 30, 40])
-        before = snapshot(tmp_path)
-        built = fail_body_chunk(monkeypatch, tmp_path, 2)  # one chunk per body: payload two
-        args = ["-i", str(inp), "-o", str(tmp_path / "out.pgm"), "-m", "compare",
-                "--report", str(tmp_path / "r.json"), "--histograms", str(tmp_path / "h")]
-        with pytest.raises(RuntimeError, match="injected encode failure"):
-            bilevel.cli.main(args)
-        assert len(built) == 2
-        # Payloads are lazy: the first body chunk is made with only its own temp file open.
-        assert list(built[0]) == [f".out.mean.pgm.tmp-{os.getpid()}"]
-        assert snapshot(tmp_path) == before
+    # OSError and MemoryError exit 1; a KeyboardInterrupt escapes main. Each leaves the listing as it was.
+    RAISES = {OSError: 1, MemoryError: 1, KeyboardInterrupt: KeyboardInterrupt}
+
+    def test_exception_while_building_a_payload_leaves_listing_unchanged(self, contract):
+        run = Run("in.pgm", "out.pgm", "compare", report="r.json", histograms="h")
+        for raises, code in self.RAISES.items():  # in the second payload's first block
+            assert contract.check_cli(run, Plan(chunk=3, raises=raises)) == code
 
     @pytest.mark.parametrize("flavor", ["P5", "P2"])
-    def test_exception_after_a_written_block_leaves_listing_unchanged(
-        self, tmp_path, monkeypatch, flavor
-    ):
-        # Rows wider than the file's write buffer reach the temp file as soon
-        # as they are written, so the failure hits a file that holds data.
-        width = 1 << 14
-        image = GrayImage(np.tile(np.arange(256, dtype=np.uint8), (3, width // 256)))
-        save_pgm(tmp_path / "in.pgm", image)
-        before = snapshot(tmp_path)
-        monkeypatch.setattr(bilevel.pgm, "_BLOCK_PIXELS", width)  # one row per block, as in P2
-        built = fail_body_chunk(monkeypatch, tmp_path, 2)
-        args = ["-i", str(tmp_path / "in.pgm"), "-o", str(tmp_path / "out.pgm"), "-m", "mean"]
-        if flavor == "P2":
-            args.append("--ascii")
-        with pytest.raises(RuntimeError, match="injected encode failure"):
-            bilevel.cli.main(args)
-        expected = write_pgm(binarize(image, mean_threshold(image).optimum), flavor)
-        header = len(f"{flavor}\n{width} 3\n255\n")
-        first_row = width if flavor == "P5" else expected.index(b"\n", header) + 1 - header
-        # The second block failed with the header and the first block in the temp file.
-        assert list(built[1].values()) == [header + first_row]
-        assert snapshot(tmp_path) == before
+    def test_exception_after_a_written_block_leaves_listing_unchanged(self, contract, flavor):
+        # Blocks are one row each: the second fails after the header and the first row were written.
+        run = Run("in.pgm", "out.pgm", ascii=flavor == "P2")
+        for raises, code in self.RAISES.items():
+            assert contract.check_cli(run, Plan(chunk=2, raises=raises)) == code
 
 
 class TestSummaryOutput:
@@ -490,15 +322,14 @@ class TestSummaryOutput:
         # The summary follows the commit, so the outputs are complete.
         assert snapshot(tmp_path)["out.pgm"] == MEAN_OUT
         assert json.loads((tmp_path / "r.json").read_text())["methods"]["mean"]["optimum"] == 111.75
-        assert no_temp_files(tmp_path)
+        assert not [p for p in tmp_path.rglob("*") if ".tmp-" in p.name]
 
 
 class TestSharedParser:
-    def test_calls_in_one_process_match_fresh_processes(self, tmp_path, monkeypatch, capsys):
+    def test_calls_in_one_process_match_fresh_processes(self, tmp_path, monkeypatch):
         # main reuses one parser for every call in a process; each call must
         # still print and exit exactly as the first call of a new process.
         make_pgm(tmp_path, "in.pgm", 4, 1, [0, 64, 128, 255])
-        monkeypatch.chdir(tmp_path)
         runs = [
             (["-i", "in.pgm", "-o", "out.pgm", "-m", "otsu"], "80"),
             (["--help"], "80"),
@@ -508,10 +339,9 @@ class TestSharedParser:
         ]
         for argv, columns in runs:
             monkeypatch.setenv("COLUMNS", columns)
-            code = exit_code(argv)
-            out, err = capsys.readouterr()
+            ran = execute(tmp_path, lambda: bilevel.cli.main(argv))
             fresh = run_cli(argv, cwd=tmp_path)
-            assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+            assert ran[:3] == (fresh.returncode, fresh.stdout, fresh.stderr), argv
 
 
 class TestMemory:
@@ -641,24 +471,12 @@ class TestBlocks:
 
 class TestDeterminism:
     def test_reruns_are_byte_identical(self, tmp_path):
-        inp = make_pgm(tmp_path, "img.pgm", 8, 2, [0, 10, 250, 30, 40, 200, 60, 70] * 2)
-        out = tmp_path / "out.pgm"
-        report = tmp_path / "report.json"
-        hist_dir = tmp_path / "h"
-        args = ["-i", inp, "-o", out, "--report", report, "--histograms", hist_dir]
-        assert run_cli(args).returncode == 0
-        first = {
-            p.relative_to(tmp_path): p.read_bytes()
-            for p in sorted(tmp_path.rglob("*"))
-            if p.is_file() and p != inp
-        }
-        assert run_cli(args).returncode == 0
-        second = {
-            p.relative_to(tmp_path): p.read_bytes()
-            for p in sorted(tmp_path.rglob("*"))
-            if p.is_file() and p != inp
-        }
-        assert first and first == second
+        make_pgm(tmp_path, "img.pgm", 8, 2, [0, 10, 250, 30, 40, 200, 60, 70] * 2)
+        args = ["-i", "img.pgm", "-o", "out.pgm", "--report", "report.json", "--histograms", "h"]
+        assert run_cli(args, cwd=tmp_path).returncode == 0
+        first = snapshot(tmp_path)
+        assert run_cli(args, cwd=tmp_path).returncode == 0
+        assert len(first) == 7 and snapshot(tmp_path) == first  # the input, h/ and five outputs
 
 
 def count_calls(monkeypatch, owner, name: str) -> list:

@@ -1,30 +1,11 @@
-"""Faults injected at every file-system call of a CLI run or a ``save_pgm``, and the rollback that follows.
+"""Faults the file-contract machine of ``tests/test_contract.py`` leaves to fixed tests.
 
-The sweep applies the method of Pillai et al., "All File Systems Are Not
-Created Equal: On the Complexity of Crafting Crash-Consistent
-Applications" (OSDI 2014) to one process: record its file-system calls,
-then fail each one. ``Faults`` stands in for ``os`` (``mkdir``, ``rmdir``,
-``unlink``, ``replace`` and ``lstat``) and for ``open`` in both
-``bilevel.cli``, which plans the targets and opens the input, and
-``bilevel.pgm``, which stages and commits every file. It numbers every such
-call and raises ``OSError`` at the numbers it is given. Each run shape is
-recorded once without faults, then rerun once per call k with k failing,
-under each errno in ``ERRNOS``, and once more per rollback call j after k,
-with j failing too. Every rerun must exit 1 with one stderr line that
-names the k-th failure, try every undo, and leave the directory as it
-was. Two entries may differ: a target that existed before the run and was
-replaced, and the entry whose undo j failed, with the directories above
-it that the run made. A ``save_pgm`` onto a planted target is swept the
-same way, and must raise the k-th failure and leave every entry as it
-was, but for the temp file whose undo j failed.
-
-Writes inside a payload are not calls of ``open``; the ``RLIMIT_FSIZE``
-test reaches them in a subprocess.
+These pin an exact stderr line, or reach what no proxied call does: running
+out of memory at each stage, a map refused for lack of memory, and a write
+past ``RLIMIT_FSIZE`` inside a payload, in a subprocess.
 """
 
-import builtins
 import errno
-import itertools
 import mmap
 import os
 import sys
@@ -36,230 +17,30 @@ import pytest
 import bilevel.cli
 import bilevel.pgm
 from bilevel import GrayImage, save_pgm
-from helpers import run_python, snapshot
+from helpers import Plan, Run, execute, run_python, snapshot
 
-ERRNOS = (errno.EIO, errno.ENOSPC, errno.EACCES)
-PROXIED = ("mkdir", "rmdir", "unlink", "replace", "lstat")
-UNDOS = ("rmdir", "unlink")
 COMPARE = ["-m", "compare", "--report", "r.json", "--histograms", "h"]
-
-
-def plant_targets(directory: Path) -> None:
-    """Both image targets exist, one as a symlink; the report is new."""
-    (directory / "out.mean.pgm").write_bytes(b"mean output of an earlier run")
-    (directory / "keep.txt").write_bytes(b"the symlinked target's file")
-    (directory / "out.iter.pgm").symlink_to("keep.txt")
-
-
-# Name: (arguments after -i in.pgm -o out.pgm, what plants the other entries, or None).
-SHAPES = {
-    "mean-p5-new-target": (["-m", "mean"], None),
-    "compare-report-histograms-new-dirs": (
-        ["-m", "compare", "--report", "r.json", "--histograms", "a/b/h"], None
-    ),
-    "compare-ascii-existing-targets": (
-        ["-m", "compare", "--ascii", "--report", "r.json"], plant_targets
-    ),
-}
-
-
-class Faults:
-    """``os`` and ``open`` for ``cli`` and ``pgm``: numbers each proxied call, failing the chosen ones."""
-
-    def __init__(self, fail: dict[int, int]):
-        self.fail = fail  # call number, from 1, to the errno it raises
-        self.calls: list[tuple[str, str]] = []
-
-    def __getattr__(self, name):
-        real = getattr(os, name)
-        if name not in PROXIED:
-            return real
-        return lambda path, *args, **kwargs: self.call(name, real, path, *args, **kwargs)
-
-    def open_file(self, file, *args, **kwargs):
-        return self.call("open", builtins.open, file, *args, **kwargs)
-
-    def call(self, name, real, path, *args, **kwargs):
-        self.calls.append((name, os.fspath(path)))
-        number = len(self.calls)
-        if number in self.fail:
-            raise OSError(self.fail[number], f"injected at call {number}", os.fspath(path))
-        return real(path, *args, **kwargs)
-
-    def patch(self, patch) -> None:
-        """Stand in for ``os`` and ``open`` in both modules while ``patch`` (a monkeypatch context) lasts."""
-        for module in (bilevel.cli, bilevel.pgm):
-            patch.setattr(module, "os", self)
-            patch.setattr(module, "open", self.open_file, raising=False)
 
 
 def tiny_input(directory: Path) -> None:
     save_pgm(directory / "in.pgm", GrayImage.from_flat(4, 2, [10, 20, 30, 40, 200, 210, 220, 230]))
 
 
-def run_shape(directory: Path, shape: str, fail: dict[int, int], monkeypatch, capsys) -> tuple:
-    """Exit code, stdout, stderr, calls, and the snapshots before and after one run of ``shape``."""
-    args, plant = SHAPES[shape]
-    directory.mkdir()
-    tiny_input(directory)
-    if plant:
-        plant(directory)
-    before = snapshot(directory)
-    faults = Faults(fail)
-    with monkeypatch.context() as patch:
-        patch.chdir(directory)
-        faults.patch(patch)
-        code = bilevel.cli.main(["-i", "in.pgm", "-o", "out.pgm", *args])
-    out, err = capsys.readouterr()
-    return code, out, err, faults.calls, before, snapshot(directory)
-
-
-def check_rolled_back(run: tuple, k: int, j: int | None, clean: dict) -> None:
-    code, out, err, calls, before, after = run
-    assert (code, out) == (1, "")
-    [line] = err.splitlines()
-    assert line.startswith("bilevel: error: ") and f"injected at call {k}:" in line
-    left = set()
-    if j is not None:  # the entry whose undo failed stays, and so do the directories it is in
-        entry = Path(calls[j - 1][1])
-        left = {p.as_posix() for p in (entry, *entry.parents[:-1])} - set(before)
-    assert set(after) - set(before) == left
-    for name, entry in before.items():
-        replaced = clean[name] != entry  # a target that existed, replaced by the run
-        assert after[name] in ((entry, clean[name]) if replaced else (entry,)), name
-    assert not [name for name in set(after) - left if ".tmp-" in name]
-
-
-@pytest.mark.parametrize("shape", sorted(SHAPES))
-def test_every_failing_call_rolls_back_the_run(tmp_path, monkeypatch, capsys, shape):
-    runs = itertools.count()
-
-    def run(fail):
-        return run_shape(tmp_path / str(next(runs)), shape, fail, monkeypatch, capsys)
-
-    code, _, err, calls, _, clean = run({})
-    assert (code, err) == (0, "")
-    assert not [name for name in clean if ".tmp-" in name]
-    for k in range(1, len(calls) + 1):
-        for errno_k in ERRNOS:
-            failed = run({k: errno_k})
-            check_rolled_back(failed, k, None, clean)
-            rollback = failed[3][k:]
-            assert failed[3][:k] == calls[:k]
-            assert {name for name, _ in rollback} <= set(UNDOS)
-            for j in range(k + 1, k + len(rollback) + 1):
-                # A failing undo stops no other: every one is still tried.
-                both = run({k: errno_k, j: errno_k})
-                assert both[3] == failed[3]
-                check_rolled_back(both, k, j, clean)
-
-
-def save_planted(directory: Path, plant: str, fail: dict[int, int], monkeypatch) -> tuple:
-    """The error raised, calls, and the snapshots before and after one ``save_pgm`` onto a planted target."""
-    directory.mkdir()
-    (directory / "victim.pgm").write_bytes(b"the symlinked target's file")
-    if plant == "symlink":
-        (directory / "out.pgm").symlink_to("victim.pgm")
-    else:
-        (directory / "out.pgm").write_bytes(b"an earlier image")
-    before = snapshot(directory)
-    faults = Faults(fail)
-    error = None
-    with monkeypatch.context() as patch:
-        patch.chdir(directory)
-        faults.patch(patch)
-        try:
-            save_pgm("out.pgm", GrayImage.from_flat(2, 2, [0, 64, 128, 255]), "P2")
-        except OSError as exc:
-            error = exc
-    return error, faults.calls, before, snapshot(directory)
-
-
-@pytest.mark.parametrize("plant", ["file", "symlink"])
-def test_every_failing_call_of_save_pgm_leaves_the_target_as_it_was(tmp_path, monkeypatch, plant):
-    runs = itertools.count()
-
-    def run(fail):
-        return save_planted(tmp_path / str(next(runs)), plant, fail, monkeypatch)
-
-    error, calls, before, clean = run({})
-    assert error is None and [name for name, _ in calls] == ["open", "replace"]
-    assert clean["victim.pgm"] == before["victim.pgm"] and clean["out.pgm"][0] == "file"
-    for k in range(1, len(calls) + 1):
-        for errno_k in ERRNOS:
-            error, failed, before, after = run({k: errno_k})
-            assert (error.errno, error.strerror) == (errno_k, f"injected at call {k}")
-            assert after == before
-            assert failed[:k] == calls[:k] and {name for name, _ in failed[k:]} <= set(UNDOS)
-            for j in range(k + 1, len(failed) + 1):
-                # The undo that fails is the temp file's unlink, so the temp file alone stays.
-                error, both, before, after = run({k: errno_k, j: errno_k})
-                assert (error.strerror, both) == (f"injected at call {k}", failed)
-                assert set(after) - set(before) == {f".out.pgm.tmp-{os.getpid()}"}
-                assert {name: after[name] for name in before} == before
-
-
-def test_the_sweep_reaches_every_kind_of_call(tmp_path, monkeypatch, capsys):
-    seen = set()
-    for shape in SHAPES:
-        _, _, _, calls, _, _ = run_shape(tmp_path / shape, shape, {}, monkeypatch, capsys)
-        seen.update(name for name, _ in calls)
-    assert seen == {"open", "lstat", "mkdir", "replace"}  # rmdir and unlink are undos only
-
-
-def test_a_failing_undo_does_not_stop_the_rollback(tmp_path, monkeypatch, capsys):
-    # The second rename fails, and so does the first undo after it: the
-    # unlink of out.mean.pgm, which the first rename made. Every other undo
-    # still runs, and the rename failure is the one reported.
-    tiny_input(tmp_path)
-    before = snapshot(tmp_path)
-    real_replace, real_unlink = os.replace, os.unlink
-    renames, unlinks = [], []
-
-    def replace(src, dst):
-        renames.append(dst)
-        if len(renames) == 2:
-            raise OSError(errno.EIO, "injected rename failure", os.fspath(dst))
-        real_replace(src, dst)
-
-    def unlink(path, *args, **kwargs):
-        if len(renames) == 2 and not unlinks:
-            unlinks.append(path)
-            raise OSError(errno.EACCES, "injected unlink failure", os.fspath(path))
-        real_unlink(path, *args, **kwargs)
-
-    monkeypatch.chdir(tmp_path)
-    with monkeypatch.context() as patch:
-        patch.setattr(os, "replace", replace)
-        patch.setattr(os, "unlink", unlink)
-        code = bilevel.cli.main(["-i", "in.pgm", "-o", "out.pgm", *COMPARE])
-    assert code == 1
-    assert capsys.readouterr().err == (
-        "bilevel: error: cannot write outputs: [Errno 5] injected rename failure: 'out.iter.pgm'\n"
-    )
-    after = snapshot(tmp_path)
-    assert sorted(set(after) - set(before)) == ["out.mean.pgm"]
-    assert {name: after[name] for name in before} == before
+def test_a_failing_undo_does_not_stop_the_rollback(contract):
+    # The second rename fails, and so does the first undo after it: the unlink of
+    # out.mean.pgm, which the first rename made. The model checks that every other
+    # undo still ran, that only out.mean.pgm is left, and that the rename failure
+    # is the one reported.
+    run = Run("in.pgm", "out.pgm", "compare", report="r.json", histograms="h")
+    assert contract.check_cli(run, Plan(("replace", 2), ("unlink", 1))) == 1
 
 
 @pytest.mark.parametrize("plant", ["symlink", "dangling-symlink", "file"])
-def test_an_entry_at_the_temp_name_fails_the_run_and_is_left_as_it_was(
-    tmp_path, monkeypatch, capsys, plant
-):
-    tiny_input(tmp_path)
-    (tmp_path / "victim.txt").write_bytes(b"bytes the run must not touch")
-    tmp = tmp_path / f".out.pgm.tmp-{os.getpid()}"
-    if plant == "file":
-        tmp.write_bytes(b"left by a killed run")
-    else:
-        tmp.symlink_to("victim.txt" if plant == "symlink" else "nowhere.txt")
-    before = snapshot(tmp_path)
-    monkeypatch.chdir(tmp_path)
-    assert bilevel.cli.main(["-i", "in.pgm", "-o", "out.pgm", "-m", "mean"]) == 1
-    assert capsys.readouterr() == (
-        "", f"bilevel: error: cannot write outputs: [Errno 17] File exists: '{tmp.name}'\n"
-    )
-    assert snapshot(tmp_path) == before
+def test_an_entry_at_the_temp_name_fails_the_run_and_is_left_as_it_was(contract, plant):
+    tmp = f".out.pgm.tmp-{os.getpid()}"
+    contract.plant(tmp, {"symlink": "file-link", "dangling-symlink": "dangling-link"}.get(plant, plant))
+    assert contract.check_cli(Run("in.pgm", "out.pgm")) == 1
+    assert contract.last.stderr == f"bilevel: error: cannot write outputs: [Errno 17] File exists: '{tmp}'\n"
 
 
 def raise_memory_error(*args, **kwargs):
@@ -267,13 +48,12 @@ def raise_memory_error(*args, **kwargs):
 
 
 @pytest.mark.parametrize("stage", ["_read_input", "_decode_pgm", "build_histogram"])
-def test_out_of_memory_is_one_line_and_exit_1(tmp_path, monkeypatch, capsys, stage):
+def test_out_of_memory_is_one_line_and_exit_1(tmp_path, monkeypatch, stage):
     tiny_input(tmp_path)
     before = snapshot(tmp_path)
     monkeypatch.setattr(bilevel.cli, stage, raise_memory_error)
-    monkeypatch.chdir(tmp_path)
-    assert bilevel.cli.main(["-i", "in.pgm", "-o", "out.pgm", *COMPARE]) == 1
-    assert capsys.readouterr() == ("", "bilevel: error: in.pgm: out of memory\n")
+    ran = execute(tmp_path, lambda: bilevel.cli.main(["-i", "in.pgm", "-o", "out.pgm", *COMPARE]))
+    assert ran[:3] == (1, "", "bilevel: error: in.pgm: out of memory\n")
     assert snapshot(tmp_path) == before
 
 
@@ -301,7 +81,7 @@ def test_out_of_memory_while_staging_rolls_back_first(tmp_path, monkeypatch, cap
     assert snapshot(tmp_path) == before
 
 
-def test_a_map_refused_for_lack_of_memory_is_not_read_instead(tmp_path, monkeypatch, capsys):
+def test_a_map_refused_for_lack_of_memory_is_not_read_instead(tmp_path, monkeypatch):
     tiny_input(tmp_path)
     before = snapshot(tmp_path)
 
@@ -310,10 +90,9 @@ def test_a_map_refused_for_lack_of_memory_is_not_read_instead(tmp_path, monkeypa
 
     monkeypatch.setattr(bilevel.pgm, "_MAP_MIN_BYTES", 1)
     monkeypatch.setattr(mmap, "mmap", no_memory)
-    monkeypatch.chdir(tmp_path)
-    assert bilevel.cli.main(["-i", "in.pgm", "-o", "out.pgm", "-m", "mean"]) == 1
+    ran = execute(tmp_path, lambda: bilevel.cli.main(["-i", "in.pgm", "-o", "out.pgm", "-m", "mean"]))
     message = f"bilevel: error: cannot read in.pgm: [Errno {errno.ENOMEM}] {os.strerror(errno.ENOMEM)}\n"
-    assert capsys.readouterr() == ("", message)
+    assert ran[:3] == (1, "", message)
     assert snapshot(tmp_path) == before
 
 

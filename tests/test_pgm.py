@@ -26,10 +26,10 @@ from bilevel import (
 )
 from helpers import (
     OVERLONG_DIGIT_INPUTS,
+    Plan,
     naive_plain_encoding,
     naive_plain_samples,
     random_gray_image,
-    snapshot,
 )
 
 
@@ -264,61 +264,28 @@ class TestSavePgm:
 
     IMAGE = GrayImage(np.arange(64, dtype=np.uint8).reshape(8, 8) * 4)
 
-    def test_a_failure_mid_body_leaves_the_target_as_it_was(self, tmp_path):
-        real_body = bilevel.pgm._pgm_body
-
-        def failing_body(*args):
-            chunks = real_body(*args)
-            yield next(chunks)
-            raise MemoryError
-
-        target = tmp_path / "out.pgm"
-        target.write_bytes(write_pgm(GrayImage.from_flat(2, 1, [7, 9]), "P2"))
-        before = snapshot(tmp_path)
-        # 16-pixel sub-blocks: the 8 x 8 P2 body is four chunks, and fails after the first.
-        with mock.patch.object(bilevel.pgm, "_SUB_BLOCK_PIXELS", 16), mock.patch.object(
-            bilevel.pgm, "_pgm_body", failing_body
-        ), pytest.raises(MemoryError):
-            save_pgm(target, self.IMAGE, "P2")
-        assert snapshot(tmp_path) == before  # no .tmp- entry either
+    def test_a_failure_mid_body_leaves_the_target_as_it_was(self, contract):
+        # Blocks of one row: the 8 x 2 P2 body is two chunks, and fails after the first.
+        contract.plant("out.pgm", "file")
+        contract.check_save("out.pgm", "P2", Plan(chunk=2, raises=MemoryError))  # MemoryError, every entry as it was
 
     @pytest.mark.parametrize("plant", ["symlink", "hard-link", "file"])
-    def test_the_entry_at_the_target_is_replaced_not_written_through(self, tmp_path, plant):
-        victim = tmp_path / "victim.pgm"
-        victim.write_bytes(b"an image that is not the target")
-        victim.chmod(0o600)
-        target = tmp_path / "out.pgm"
-        if plant == "symlink":
-            target.symlink_to(victim.name)
-        elif plant == "hard-link":
-            os.link(victim, target)
-        else:
-            target.write_bytes(victim.read_bytes())
-            target.chmod(0o600)
-        before = snapshot(tmp_path)
+    def test_the_entry_at_the_target_is_replaced_not_written_through(self, contract, plant):
+        contract.plant("out.pgm", {"symlink": "file-link"}.get(plant, plant))  # to keep.txt, or in.pgm's inode
+        os.chmod(contract.root / "out.pgm", 0o600)
         umask = os.umask(0o022)
         try:
-            save_pgm(target, self.IMAGE)
+            contract.check_save("out.pgm", "P5")  # a file of the image's bytes, and every other entry as it was
         finally:
             os.umask(umask)
-        assert snapshot(tmp_path)["victim.pgm"] == before["victim.pgm"]
-        assert not target.is_symlink() and target.read_bytes() == write_pgm(self.IMAGE)
-        assert (target.stat().st_mode & 0o777, victim.stat().st_nlink) == (0o644, 1)  # mode from the umask
-        assert sorted(os.listdir(tmp_path)) == ["out.pgm", "victim.pgm"]
+        assert (contract.root / "out.pgm").stat().st_mode & 0o777 == 0o644  # the mode comes from the umask
 
     @pytest.mark.parametrize("plant", ["symlink", "file"])
-    def test_an_entry_at_the_temp_name_fails_the_save_and_is_left_as_it_was(self, tmp_path, plant):
-        (tmp_path / "out.pgm").write_bytes(b"an earlier image")
-        tmp = tmp_path / f".out.pgm.tmp-{os.getpid()}"
-        if plant == "file":
-            tmp.write_bytes(b"left by a killed process")
-        else:
-            tmp.symlink_to("out.pgm")
-        before = snapshot(tmp_path)
-        with pytest.raises(FileExistsError) as raised:
-            save_pgm(tmp_path / "out.pgm", self.IMAGE)
-        assert raised.value.filename == str(tmp)
-        assert snapshot(tmp_path) == before
+    def test_an_entry_at_the_temp_name_fails_the_save_and_is_left_as_it_was(self, contract, plant):
+        tmp = f".out.pgm.tmp-{os.getpid()}"
+        contract.plant(tmp, {"symlink": "input-link"}.get(plant, plant))
+        contract.check_save("out.pgm", "P5")  # FileExistsError, every entry as it was
+        assert contract.last.result.filename == tmp
 
     @pytest.mark.parametrize("path", ["", "/"])
     def test_a_path_without_a_file_name_is_refused_before_any_write(self, tmp_path, monkeypatch, path):
@@ -332,6 +299,11 @@ class TestSavePgm:
             save_pgm(tmp_path / "no" / "out.pgm", self.IMAGE)
         assert raised.value.filename == str(tmp_path / "no" / f".out.pgm.tmp-{os.getpid()}")
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("path", ["out.pgm", ".."])
+    def test_an_existing_directory_is_refused_before_anything_is_encoded(self, contract, path):
+        contract.plant("out.pgm", "dir")
+        contract.check_save(path, "P5")  # IsADirectoryError naming path, no chunk drawn, every entry as it was
 
 
 _COMMENTS = st.builds(
