@@ -38,8 +38,8 @@ each through temporaries of its own, and each sub-block's bytes are a chunk
 of their own. A gray body gathers each pixel's token NUL-padded to one
 uint32 word and drops the NULs byte by byte. A binary body binarizes
 nothing: the bits of the gray pixels above the level are packed 8 to a
-byte, rows narrower than 8 pixels stacked into one, and each byte's text,
-such as ``b"0 255 0 0 255 255 0 0 "``, is looked up in a table of 256 such
+byte, each row to whole bytes, and each byte's text, such as
+``b"0 255 0 0 255 255 0 0 "``, is looked up in a table of 256 such
 patterns and joined. A binary P5 body is binarized in blocks of
 ``_BLOCK_PIXELS`` pixels, each block a chunk in a buffer of its own.
 
@@ -128,7 +128,10 @@ _BLOCK_PIXELS = 1 << 20
 # sub-block's uint8 indices into a 128 KiB intp array, and the gathered
 # words and their NUL mask take 64 KiB each. In a binary body the bits take
 # 16 KiB, and the intp byte indices, the gathered patterns and their list
-# 16 KiB each (one element per 8 pixels); its text is at most 64 KiB.
+# 16 KiB each (one element per 8 pixels); its text is at most 64 KiB. Its
+# largest temporary is b"".join's table of one 80-byte buffer per pattern,
+# 160 KiB for 2048, so a binary sub-block is budgeted by rows padded to
+# whole bytes: a 1-pixel-wide image budgeted unpadded peaks near 1.5 MiB.
 _SUB_BLOCK_PIXELS = 1 << 14
 
 # Gray P2 encoder tables, one entry per sample value: the token b"%d " (and,
@@ -142,23 +145,21 @@ _TOKEN_WORDS, _ROW_END_WORDS = (
 
 
 @functools.cache
-def _pattern_table(tail: int, row: int) -> np.ndarray:
-    """The binary P2 text of each byte that ``np.packbits`` makes of a line of pixels.
+def _pattern_table(tail: int) -> np.ndarray:
+    """The binary P2 text of each byte that ``np.packbits`` makes of a row of pixels.
 
-    Entry ``b`` is the text of a byte inside a line, entry ``256 + b`` that
-    of a line's last byte, whose first ``tail`` bits are pixels. Each pixel
+    Entry ``b`` is the text of a byte inside a row, entry ``256 + b`` that
+    of a row's last byte, whose first ``tail`` bits are pixels. Each pixel
     bit, from the most significant, is a token, ``255`` if set and ``0`` if
-    not, followed by ``\\n`` if it ends a row (in a last byte, every
-    ``row``-th bit does) and by a space otherwise. The table is a read-only
-    object array of ``bytes``, so ``np.take`` gathers one pattern per byte;
-    at most 36 are made, for 1 <= row <= tail <= 8.
+    not, followed by ``\\n`` if it ends the row (the ``tail``-th bit of a
+    last byte) and by a space otherwise. The table is a read-only object
+    array of ``bytes``, so ``np.take`` gathers one pattern per byte; at
+    most 8 are made, for 1 <= tail <= 8.
     """
-    inner = [b" "] * 8
-    last = [b" " if j % row else b"\n" for j in range(1, tail + 1)]
     table = np.empty(512, object)
     table[:] = [
-        b"".join((b"255" if byte >> (7 - j) & 1 else b"0") + end for j, end in enumerate(ends))
-        for ends in (inner, last)
+        b"".join(b"%d%c" % (255 * (byte >> (7 - j) & 1), end) for j, end in enumerate(ends))
+        for ends in (b" " * 8, b" " * (tail - 1) + b"\n")
         for byte in range(256)
     ]
     table.flags.writeable = False
@@ -358,20 +359,18 @@ def _pgm_body(pixels: np.ndarray, flavor: str, level: int | None = None) -> Iter
     rows (one row, if a row is wider than ``_SUB_BLOCK_PIXELS``), one text
     line per row, each made in fresh temporaries that keep no reference to
     ``pixels``. A gray P2 body gathers NUL-padded token words and compacts
-    them by the byte. A binary one is :func:`_binary_patterns` of lines of
-    ``max(1, 8 // width)`` rows, each sub-block a whole number of lines and
-    the image's last line filled up with rows of 0 whose text is cut off;
-    each sub-block's patterns are joined into its chunk.
+    them by the byte. A binary one is budgeted by rows padded to whole
+    bytes, and each sub-block's :func:`_binary_patterns` are joined into its
+    chunk.
     """
     if flavor == "P5" and level is None:
         yield pixels.reshape(-1).data
         return
     height, width = pixels.shape
-    # A binary P2 line is `stack` rows, so that a line narrower than 8
-    # pixels packs into one byte; a wider line is one row.
-    stack = max(1, 8 // width) if flavor == "P2" and level is not None else 1
-    budget = _BLOCK_PIXELS if flavor == "P5" else _SUB_BLOCK_PIXELS
-    rows = min(height, max(1, budget // (stack * width)) * stack)
+    # A binary P2 row is packed to whole bytes, so it is budgeted padded
+    # to them (see _SUB_BLOCK_PIXELS).
+    span = -(-width // 8) * 8 if flavor == "P2" and level is not None else width
+    rows = min(height, max(1, (_BLOCK_PIXELS if flavor == "P5" else _SUB_BLOCK_PIXELS) // span))
     for top in range(0, height, rows):
         block = pixels[top : top + rows]
         if flavor == "P5":
@@ -382,34 +381,26 @@ def _pgm_body(pixels: np.ndarray, flavor: str, level: int | None = None) -> Iter
             padded = words.view(np.uint8).ravel()
             yield np.compress(padded != 0, padded).data
         else:
-            # Only the last sub-block can be short of a line's rows. It is
-            # filled with rows of 0, never above a level, so their text is
-            # b"0 " a pixel and is cut off.
-            missing = -len(block) % stack
-            lines = np.concatenate((block, np.zeros((missing, width), np.uint8)))
-            text = b"".join(_binary_patterns(lines.reshape(-1, stack * width), level, width))
-            yield memoryview(text)[: len(text) - 2 * width * missing]
+            yield memoryview(b"".join(_binary_patterns(block, level)))
 
 
-def _binary_patterns(lines: np.ndarray, level: int, width: int) -> list[bytes]:
-    """The binary P2 text of uint8 ``lines`` of rows ``width`` pixels wide, one piece per 8 pixels.
+def _binary_patterns(block: np.ndarray, level: int) -> list[bytes]:
+    """The binary P2 text of a uint8 ``block`` of rows, one piece per 8 pixels.
 
-    Each line's bits (a pixel above ``level`` is set) are packed 8 to a
+    Each row's bits (a pixel above ``level`` is set) are packed 8 to a
     byte, the last byte zero-padded, and each byte is looked up in
     :func:`_pattern_table`.
     """
-    count, length = lines.shape
-    size = -(-length // 8)
-    # packbits(axis=1) costs about 30 ns a row, so narrow lines are padded
-    # to whole bytes and packed flat.
+    count, width = block.shape
+    size = -(-width // 8)
+    # packbits(axis=1) costs about 30 ns a row, so rows are padded to whole
+    # bytes and packed flat.
     bits = np.zeros((count, 8 * size), np.bool_)
-    np.greater(lines, np.uint8(level), out=bits[:, :length])
+    np.greater(block, np.uint8(level), out=bits[:, :width])
     index = np.packbits(bits).reshape(count, size).astype(np.intp)
     index[:, -1] += 256
-    # A line's last byte holds its last `tail` pixels, and a row ends after
-    # every width-th of them (a line of one row: after the last).
-    tail = length - 8 * (size - 1)
-    return np.take(_pattern_table(tail, min(width, tail)), index).ravel().tolist()
+    # A row's last byte holds its last 1 to 8 pixels.
+    return np.take(_pattern_table(width - 8 * (size - 1)), index).ravel().tolist()
 
 
 def write_pgm(image: GrayImage | BinaryImage, flavor: str = "P5") -> bytes:

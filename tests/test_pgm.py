@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import os
 import tracemalloc
@@ -476,33 +477,50 @@ class TestSlicedCodec:
         assert ((gray != 0).any(axis=1) & (gray == 0).any(axis=1)).any()
 
     def test_every_pattern_table_entry_is_the_tokens_of_its_bits(self):
-        # Every table the binary P2 encoder can ask for: a line's last byte
-        # holds 1 to 8 pixels, and a row ends after every row-th of them.
+        # Every table the binary P2 encoder can ask for: a row's last byte
+        # holds 1 to 8 pixels, and the row ends after the last of them.
         for tail in range(1, 9):
-            for row in range(1, tail + 1):
-                table = bilevel.pgm._pattern_table(tail, row)
-                assert table.shape == (512,)
-                for byte in range(256):
-                    bits = np.unpackbits(np.array([byte], np.uint8)).tolist()
-                    middle = b"".join(b"%d " % (255 * bit) for bit in bits)
-                    last = b"".join(
-                        b"%d%s" % (255 * bit, b" " if j % row else b"\n")
-                        for j, bit in enumerate(bits[:tail], 1)
-                    )
-                    assert (table[byte], table[256 + byte]) == (middle, last), (tail, row, byte)
+            table = bilevel.pgm._pattern_table(tail)
+            assert table.shape == (512,)
+            for byte in range(256):
+                bits = np.unpackbits(np.array([byte], np.uint8)).tolist()
+                middle = b"".join(b"%d " % (255 * bit) for bit in bits)
+                last = b" ".join(b"%d" % (255 * bit) for bit in bits[:tail]) + b"\n"
+                assert (table[byte], table[256 + byte]) == (middle, last), (tail, byte)
 
     @pytest.mark.parametrize("flavor", ["P2", "P5"])
     @pytest.mark.parametrize("level", [None, 0, 127, 255])
     def test_every_body_chunk_is_a_flat_byte_buffer(self, flavor, level):
         # A writer or caller may count a chunk's bytes with len().
-        pixels = np.random.default_rng(17).integers(0, 256, size=(9, 5), dtype=np.uint8)
+        height, width = 9, 5
+        pixels = np.random.default_rng(17).integers(0, 256, size=(height, width), dtype=np.uint8)
         with mock.patch.object(bilevel.pgm, "_SUB_BLOCK_PIXELS", 16), mock.patch.object(
             bilevel.pgm, "_BLOCK_PIXELS", 16
         ):
             chunks = [memoryview(chunk) for chunk in bilevel.pgm._pgm_body(pixels, flavor, level)]
-        assert len(chunks) == (1 if flavor == "P5" and level is None else 3)
+        # A binary P2 row is budgeted padded to whole bytes, 8 pixels here.
+        span = -(-width // 8) * 8 if flavor == "P2" and level is not None else width
+        rows = 16 // span
+        assert len(chunks) == (1 if flavor == "P5" and level is None else -(-height // rows))
         for chunk in chunks:
             assert (chunk.format, chunk.ndim, len(chunk)) == ("B", 1, chunk.nbytes)
+
+    @pytest.mark.parametrize("width", [1, 3, 7, 9, 1024])
+    def test_binary_p2_body_of_narrow_rows_drains_in_bounded_memory(self, width):
+        # b"".join keeps an 80-byte buffer per pattern piece, one piece per
+        # row narrower than 8 pixels. Sub-blocks budgeted by width alone
+        # peak near 1.5 MiB at width 1; budgeted padded to whole bytes,
+        # 184-226 KiB at every width here (numpy 2.4).
+        rng = np.random.default_rng(width)
+        pixels = rng.integers(0, 256, size=(2**17 // width, width), dtype=np.uint8)
+        collections.deque(bilevel.pgm._pgm_body(pixels, "P2", 127), 0)  # builds the tables
+        tracemalloc.start()
+        try:
+            collections.deque(bilevel.pgm._pgm_body(pixels, "P2", 127), 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 384 * 2**10
 
 
 class TestCodecProperties:
@@ -560,9 +578,9 @@ class TestCodecProperties:
         pixels=np.arange(40, dtype=np.uint8).reshape(1, 40), flavor="P5", threshold=19.5, block_pixels=16
     )
     @example(pixels=np.full((5, 7), 128, np.uint8), flavor="P2", threshold=127.999, block_pixels=16)
-    # Widths about a packed byte: rows narrower than 8 pixels are stacked
-    # 8 // width to a byte, wider ones end in a partial byte unless the
-    # width is a multiple of 8. 13 x 1 and 5 x 3 end in a partial stack.
+    # Widths about a packed byte: each row is packed to whole bytes, so a
+    # row narrower than 8 pixels is one partial byte, and a wider one ends
+    # in a partial byte unless its width is a multiple of 8.
     @example(pixels=_ramp(13, 1), flavor="P2", threshold=127.5, block_pixels=16)
     @example(pixels=_ramp(9, 2), flavor="P2", threshold=127.5, block_pixels=16)
     @example(pixels=_ramp(5, 3), flavor="P2", threshold=127.5, block_pixels=16)
@@ -570,8 +588,8 @@ class TestCodecProperties:
     @example(pixels=_ramp(3, 8), flavor="P2", threshold=127.5, block_pixels=16)
     @example(pixels=_ramp(3, 9), flavor="P2", threshold=127.5, block_pixels=16)
     @example(pixels=_ramp(3, 17), flavor="P2", threshold=127.5, block_pixels=16)
-    # Sub-blocks of 6 and of 12 pixels hold less than a stack of 4 and of 8
-    # rows: each is one stack, and the last is filled up with rows of 0.
+    # Sub-blocks of 6 and of 12 pixels hold less than one row padded to a
+    # byte: each is one row.
     @example(pixels=_ramp(9, 2), flavor="P2", threshold=127.5, block_pixels=6)
     @example(pixels=_ramp(20, 1), flavor="P2", threshold=127.5, block_pixels=12)
     def test_binary_body_of_gray_pixels_matches_the_binarized_image(
