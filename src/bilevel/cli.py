@@ -5,9 +5,10 @@ input image, 3 bad arguments. Running out of memory while reading,
 decoding, counting or staging is an I/O failure too, reported as
 ``bilevel: error: <input>: out of memory``; exits 1 and 2 print one line
 to stderr. On any failure no new output file is left behind: every file
-is staged by ``pgm._stage_and_commit``, written to a temporary name first
-and renamed only after all payloads are staged, as ``pgm.save_pgm`` writes
-its one file. The temporary name of ``DIR/NAME`` is ``DIR/.NAME.tmp-<pid>``,
+is staged by ``pgm._stage_and_commit``, which first refuses a directory at
+any target (exit 1), then writes each payload to a temporary name and
+renames them only after all are staged, as ``pgm.save_pgm`` writes its
+one file. The temporary name of ``DIR/NAME`` is ``DIR/.NAME.tmp-<pid>``,
 created exclusively: when any entry already has that name, a symlink
 included, the run fails with exit 1 and never writes through, follows or
 removes it, nor tries another name. One left by a killed run with the same
@@ -32,19 +33,18 @@ replacing it by a rename is safe. A truncation kills the run with
 ``SIGBUS``, as ``SIGKILL`` would: no target is created or replaced, but
 temporary files may remain.
 
-This module keeps the argument handling, the target plan and the
-summary. The argument parser is built once per process, on the first call
-of ``main``, and reused by every later call.
+This module keeps the argument handling, the check of the targets'
+names against the input and each other, and the summary. The argument
+parser is built once per process, on the first call of ``main``, and
+reused by every later call.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import errno
 import functools
 import os
-import stat
 import sys
 from pathlib import Path
 
@@ -136,47 +136,30 @@ def _suffixed(output: Path, tag: str) -> Path:
     return output.with_name(f"{stem}.{tag}.pgm")
 
 
-def _plan_targets(
-    parser: argparse.ArgumentParser, source: os.stat_result, input_path: str, paths: list[Path]
-) -> set[Path]:
-    """The targets that exist before the run, after refusing the ones it must not write.
+def _refuse_colliding_targets(parser: argparse.ArgumentParser, input_path: str, paths: list[Path]) -> None:
+    """Refuse two outputs for one directory entry, and an output onto the input's entry.
 
-    Two payloads for one directory entry would be staged to one temp name,
-    and a payload renamed onto the input's entry would replace the input:
-    both are usage errors. Entries collide only when their names match, so
-    a path with a unique name skips resolve() and its lstat per component.
-
-    Then one ``lstat`` per target. A directory (also behind a symlink) is
-    refused as an I/O error, because ``os.replace`` onto it would fail only
-    after earlier outputs were in place. An entry that is the input's file,
-    the input having been named through a symlink, is a usage error. A hard
-    link to the input shares its inode but not its path, and replacing that
-    entry leaves the input intact, so it is allowed.
+    Two payloads for one entry would be staged to one temp name, and a
+    payload renamed onto the input's entry would replace the input: both
+    are usage errors. The input is its entry as named and, when that entry
+    is a symlink, the entry it resolves to. A hard link to the input shares
+    its inode but not its entry, and replacing it leaves the input intact,
+    so it is allowed. An entry is its directory resolved and its name, and
+    entries collide only when their names match, so a path with a unique
+    name skips resolve() and its lstat per component.
     """
-    named = (Path(input_path), *paths)
+    source = Path(input_path)
+    inputs = (source, Path(os.path.realpath(source))) if source.is_symlink() else (source,)
+    named = (*inputs, *paths)
     names = [path.name for path in named]
-    claimed: dict[tuple[Path, str], Path] = {}
-    for path in named:
+    claimed: dict[tuple[Path, str], int] = {}
+    for n, path in enumerate(named):
         if names.count(path.name) > 1:
-            first = claimed.setdefault((path.parent.resolve(), path.name), path)
-            if first is not path and first is named[0]:
+            first = claimed.setdefault((path.parent.resolve(), path.name), n)
+            if first != n and first < len(inputs):
                 parser.error(f"output {path} would overwrite the input")
-            if first is not path:
+            if first != n:
                 parser.error(f"two outputs would be written to {path}")
-    existing = set()
-    for path in paths:
-        try:
-            entry = os.lstat(path)
-        except (FileNotFoundError, NotADirectoryError):
-            continue
-        existing.add(path)
-        if stat.S_ISDIR(entry.st_mode) or (stat.S_ISLNK(entry.st_mode) and path.is_dir()):
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-        if (entry.st_dev, entry.st_ino) == (source.st_dev, source.st_ino) and (
-            os.path.realpath(path) == os.path.realpath(input_path)
-        ):
-            parser.error(f"output {path} would overwrite the input")
-    return existing
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -201,8 +184,7 @@ def _run(args: argparse.Namespace) -> int:
 
     try:
         with open(args.input, "rb") as fh:
-            source = os.fstat(fh.fileno())
-            data = _read_input(fh, source)
+            data = _read_input(fh, os.fstat(fh.fileno()))
     except OSError as exc:
         print(f"bilevel: error: cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -246,8 +228,8 @@ def _run(args: argparse.Namespace) -> int:
         outputs.append((Path(args.report), (emit_report(report),)))
 
     try:
-        existing = _plan_targets(parser, source, args.input, [path for path, _ in outputs])
-        _stage_and_commit(outputs, existing, hist_dir)
+        _refuse_colliding_targets(parser, args.input, [path for path, _ in outputs])
+        _stage_and_commit(outputs, hist_dir)
     except OSError as exc:
         print(f"bilevel: error: cannot write outputs: {exc}", file=sys.stderr)
         return EXIT_IO

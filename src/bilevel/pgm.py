@@ -45,10 +45,10 @@ patterns and joined. A binary P5 body is binarized in blocks of
 
 This is also the one module that turns files into buffers and chunks into
 committed files. :func:`_read_input` maps or reads the CLI's input, and
-:func:`_stage_and_commit` stages every file that the CLI or
-:func:`save_pgm` writes to a temporary name and renames it onto its
-target under one undo journal. :func:`load_pgm` reads a whole file and
-never maps it.
+:func:`_stage_and_commit` looks once at each target of the CLI or
+:func:`save_pgm`, refusing a directory, then stages every file to a
+temporary name and renames it onto its target under one undo journal.
+:func:`load_pgm` reads a whole file and never maps it.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ import itertools
 import os
 import re
 import stat
-from collections.abc import Callable, Container, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -427,19 +427,16 @@ def save_pgm(path: str | os.PathLike, image: GrayImage | BinaryImage, flavor: st
     The file is staged as the CLI stages its outputs
     (:func:`_stage_and_commit`): written to ``.NAME.tmp-<pid>`` beside the
     target, then renamed onto it. On any failure the target is left as it
-    was and the temp file is removed. So a symlink or hard link at ``path``
-    is replaced, not written through; the new file's mode comes from the
-    umask; the directory must accept new entries; and an entry already at
-    the temp name, such as a save to the same path running at once in the
-    same process, fails the save with ``FileExistsError``. An existing
-    directory at ``path`` (not a symlink to one, which is replaced) raises
-    ``IsADirectoryError`` naming ``path`` before anything is encoded. The
-    flavor is checked before the temp file is created, and a path without a
-    file name, such as ``""``, raises ``ValueError``.
+    was and the temp file is removed. So a symlink to a file, or a hard
+    link, at ``path`` is replaced, not written through; the new file's mode
+    comes from the umask; the directory must accept new entries; and an
+    entry already at the temp name, such as a save to the same path running
+    at once in the same process, fails the save with ``FileExistsError``.
+    The flavor is checked first. Then a directory at ``path``, also behind a
+    symlink, raises ``IsADirectoryError`` naming ``path`` before anything is
+    encoded; so does a path without a file name, such as ``""`` (the
+    working directory) or ``"/"``.
     """
-    with contextlib.suppress(FileNotFoundError, NotADirectoryError):  # a missing entry is staged
-        if Path(path).name and stat.S_ISDIR(os.lstat(path).st_mode):
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
     _stage_and_commit([(Path(path), _pgm_file(image.pixels, flavor))])
 
 
@@ -463,11 +460,15 @@ def _read_input(fh, source: os.stat_result) -> bytes | mmap.mmap:
 
 
 def _stage_and_commit(
-    outputs: list[tuple[Path, Iterable[bytes | memoryview]]],
-    existing: Container[Path] = frozenset(),
-    hist_dir: Path | None = None,
+    outputs: list[tuple[Path, Iterable[bytes | memoryview]]], hist_dir: Path | None = None
 ) -> None:
     """Write each payload's chunks to a temp file, then rename every temp file onto its target.
+
+    First each target is looked at once, with ``os.lstat``. A directory,
+    also behind a symlink, raises ``IsADirectoryError`` naming the target
+    before any directory or temp file is made, because ``os.replace`` onto
+    it would fail only after earlier outputs were in place. Any other entry
+    at a target existed before the commit, which the rollback keeps.
 
     A payload is an iterable of chunks, and each chunk is written before
     the next is asked for, so a generator payload runs only while its temp
@@ -480,13 +481,21 @@ def _stage_and_commit(
     entry)``: ``os.rmdir`` for each directory that ``os.mkdir`` made for
     ``hist_dir``, one at a time from the top; ``os.unlink`` for each temp
     file; and after a rename ``os.unlink`` for the target instead, or
-    nothing when the target is in ``existing``. On any exception every undo
+    nothing when the target existed before. On any exception every undo
     runs, newest first, each with its own ``OSError`` suppressed, and then
     the first exception is raised again. A directory that still holds an
     entry stays, as do its parents; a target that existed before stays
-    replaced. With one output the rename is the last effect, so
-    ``existing`` is never read.
+    replaced.
     """
+    existing = set()
+    for path, _ in outputs:
+        try:
+            mode = os.lstat(path).st_mode
+        except (FileNotFoundError, NotADirectoryError):  # a missing entry is staged
+            continue
+        if stat.S_ISDIR(mode) or (stat.S_ISLNK(mode) and path.is_dir()):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        existing.add(path)
     journal: list[tuple[Callable[[Path], None], Path]] = []
     try:
         if hist_dir is not None:

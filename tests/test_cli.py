@@ -262,6 +262,14 @@ class TestFailureModes:
                 contract.plant("out.pgm", plant)
             assert contract.check_cli(run, Plan(call)) == code
 
+    def test_each_target_is_looked_at_once(self, contract):
+        # The commit's lstat of each target is the only one, in the CLI and in save_pgm.
+        run = Run("in.pgm", "out.pgm", "compare", False, "r.json", "h")
+        assert contract.check_cli(run) == 0
+        assert [path for name, path in contract.last.calls if name == "lstat"] == run.targets()
+        contract.check_save("out.pgm", "P5")
+        assert [path for name, path in contract.last.calls if name == "lstat"] == ["out.pgm"]
+
     def test_failed_commit_removes_the_histograms_directory_it_made(self, contract):
         contract.plant("a", "dir")  # a/ existed before the run, so it stays
         for hist in ("h", "a/b/h"):

@@ -235,7 +235,7 @@ class Contract(RuleBasedStateMachine):
     def check_save(self, name: str, flavor: str, plan: Plan = Plan()) -> None:
         """Save ``IMAGE`` to ``name`` under ``plan`` and check it against the model."""
         before, path = snapshot(self.root), self.root / name
-        refusal = (IsADirectoryError if path.is_dir() and not path.is_symlink()  # a link is replaced, not refused
+        refusal = (IsADirectoryError if path.is_dir()
                    else FileNotFoundError if not path.parent.is_dir()
                    else FileExistsError if os.path.lexists(path.with_name(f".{path.name}{TMP}")) else type(None))
         outcome = self.perform(lambda: save_pgm(name, IMAGE, flavor), plan)

@@ -291,8 +291,9 @@ class TestSavePgm:
     @pytest.mark.parametrize("path", ["", "/"])
     def test_a_path_without_a_file_name_is_refused_before_any_write(self, tmp_path, monkeypatch, path):
         monkeypatch.chdir(tmp_path)
-        with pytest.raises(ValueError, match="has an empty name"):
+        with pytest.raises(IsADirectoryError) as raised:  # "" names the working directory
             save_pgm(path, self.IMAGE)
+        assert raised.value.filename == (path or ".")
         assert os.listdir(tmp_path) == []
 
     def test_a_missing_directory_is_named_by_the_temp_path(self, tmp_path):
@@ -303,8 +304,9 @@ class TestSavePgm:
 
     @pytest.mark.parametrize("path", ["out.pgm", ".."])
     def test_an_existing_directory_is_refused_before_anything_is_encoded(self, contract, path):
-        contract.plant("out.pgm", "dir")
-        contract.check_save(path, "P5")  # IsADirectoryError naming path, no chunk drawn, every entry as it was
+        for plant in ("dir", "dir-link"):  # a directory, then a symlink to sub/
+            contract.plant("out.pgm", plant)
+            contract.check_save(path, "P5")  # IsADirectoryError naming path, no chunk drawn, every entry as it was
 
 
 _COMMENTS = st.builds(
