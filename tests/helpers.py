@@ -1,8 +1,12 @@
-"""Shared generators, naive reference oracles, a CLI runner, and the file-contract model's runs and fault plans.
+"""Shared generators, reference oracles, a CLI runner, and the file-contract model's runs and fault plans.
 
-The naive oracles deliberately take the dumbest possible route (filter the
-raw pixel list, Python-int accumulation) so they share no code path with
-the histogram-driven implementations they check.
+The run oracle is the benchmark's: ``Reference`` and ``check_call`` from
+``perfbench/check.py`` rebuild a CLI call's stdout and files from the input
+pixels, and ``encode`` from ``perfbench/pgmfmt.py`` is the one PGM writer of
+the tests. Neither imports ``bilevel``. The two references kept here,
+``naive_class_mean`` and ``naive_plain_samples``, deliberately take the
+dumbest possible route (filter the raw pixel list, one Python token at a
+time) so they share no code path with the implementations they check.
 """
 
 import builtins
@@ -26,6 +30,12 @@ import bilevel.pgm
 from bilevel import GrayImage, PgmFormatError, SampleRangeError, TruncatedDataError
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+PERFBENCH_DIR = SRC_DIR.with_name("perfbench")
+
+# The benchmark's oracle, re-exported; check.py imports pgmfmt as a top-level module.
+sys.path.append(str(PERFBENCH_DIR))
+from check import Reference, check_call
+from pgmfmt import encode
 
 ERRNOS = (errno.EIO, errno.ENOSPC, errno.EACCES)
 PROXIED = ("mkdir", "rmdir", "unlink", "replace", "lstat")
@@ -66,32 +76,12 @@ def bimodal_gray_image(rng: np.random.Generator, max_side: int = 64) -> GrayImag
     return GrayImage(noisy.astype(np.uint8))
 
 
-def naive_mean(pixels) -> float:
-    """Direct pass over the pixel list: exact integer sum, one division."""
-    flat = [int(p) for p in np.asarray(pixels).reshape(-1)]
-    return sum(flat) / len(flat)
-
-
 def naive_class_mean(pixels, lo: int, hi: int):
     """Brute-force filter-and-average over the raw pixel list."""
     selected = [int(p) for p in np.asarray(pixels).reshape(-1) if lo <= p <= hi]
     if not selected:
         return None
     return sum(selected) / len(selected)
-
-
-def naive_fixed_points(pixels) -> set[int]:
-    """Integer thresholds whose class-mean midpoint lies within 1 of them."""
-    flat = [int(p) for p in np.asarray(pixels).reshape(-1)]
-    hits = set()
-    for t in range(255):
-        low = [p for p in flat if p <= t]
-        high = [p for p in flat if p > t]
-        if low and high:
-            midpoint = (sum(low) / len(low) + sum(high) / len(high)) / 2.0
-            if abs(t - midpoint) < 1.0:
-                hits.add(t)
-    return hits
 
 
 def naive_plain_samples(text: bytes, width: int, height: int) -> np.ndarray:
@@ -118,13 +108,6 @@ def naive_plain_samples(text: bytes, width: int, height: int) -> np.ndarray:
         if value > 255:
             raise SampleRangeError(f"sample value {value} exceeds maxval 255")
     return np.array(values, dtype=np.uint8).reshape(height, width)
-
-
-def naive_plain_encoding(pixels: np.ndarray) -> bytes:
-    """Reference P2 encoder: the header, then one line of space-separated decimal samples per row."""
-    height, width = pixels.shape
-    rows = "".join(" ".join(map(str, row)) + "\n" for row in pixels.tolist())
-    return b"P2\n%d %d\n255\n" % (width, height) + rows.encode("ascii")
 
 
 def run_python(args, cwd=None, stdin=None, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:

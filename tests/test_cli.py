@@ -11,22 +11,8 @@ import pytest
 import bilevel.cli
 import bilevel.histogram
 import bilevel.pgm
-from bilevel import (
-    BinaryImage,
-    GrayImage,
-    Histogram,
-    RunReport,
-    binarize,
-    emit_histogram_csv,
-    emit_report,
-    iterative_optimum_threshold,
-    load_pgm,
-    mean_threshold,
-    read_pgm,
-    save_pgm,
-    write_pgm,
-)
-from helpers import OVERLONG_DIGIT_INPUTS, Plan, Run, bimodal_gray_image, execute, run_cli, snapshot
+from bilevel import BinaryImage, GrayImage, binarize, load_pgm, mean_threshold, save_pgm, write_pgm
+from helpers import OVERLONG_DIGIT_INPUTS, Plan, Reference, Run, bimodal_gray_image, check_call, execute, run_cli, snapshot
 
 
 def make_pgm(directory: Path, name: str, width: int, height: int, values) -> Path:
@@ -63,14 +49,6 @@ class TestSingleMethodRuns:
         inp = make_pgm(tmp_path, "pair.pgm", 2, 1, [0, 255])
         proc = run_cli(["-i", inp, "-o", tmp_path / "o.pgm", "-m", "mean"])
         assert proc.stdout == "mean estimate=127.5 optimum=127.5 iterations=0\n"
-
-    def test_ascii_flag_writes_plain_flavor(self, tmp_path):
-        inp = make_pgm(tmp_path, "img.pgm", 2, 1, [0, 255])
-        out = tmp_path / "out.pgm"
-        assert run_cli(["-i", inp, "-o", out, "-m", "mean", "--ascii"]).returncode == 0
-        assert out.read_bytes().startswith(b"P2\n")
-        assert run_cli(["-i", inp, "-o", out, "-m", "mean"]).returncode == 0
-        assert out.read_bytes().startswith(b"P5\n")
 
 
 class TestCompareRuns:
@@ -407,38 +385,6 @@ class TestMemory:
 
 
 class TestBlocks:
-    # With 16-pixel blocks (P5) and sub-blocks (P2): width 1 (16 rows a
-    # block), wider than a block and as wide as one (a row each), and 7 rows
-    # of 3-row blocks.
-    @pytest.mark.parametrize("height,width", [(37, 1), (3, 20), (5, 16), (7, 5)])
-    @pytest.mark.parametrize("flavor", ["P5", "P2"])
-    def test_multi_block_outputs_match_the_whole_image_encoding(
-        self, tmp_path, monkeypatch, capsys, height, width, flavor
-    ):
-        rng = np.random.default_rng(height * width)
-        image = GrayImage(rng.integers(0, 256, size=(height, width), dtype=np.uint8))
-        save_pgm(tmp_path / "in.pgm", image)
-        monkeypatch.setattr(bilevel.pgm, "_BLOCK_PIXELS", 16)
-        monkeypatch.setattr(bilevel.pgm, "_SUB_BLOCK_PIXELS", 16)
-        monkeypatch.chdir(tmp_path)
-        thresholds = {
-            "mean": mean_threshold(image).optimum,
-            "iter": iterative_optimum_threshold(image).optimum,
-        }
-        runs = {
-            "mean": {"mean.pgm": thresholds["mean"]},
-            "iterative": {"iterative.pgm": thresholds["iter"]},
-            "compare": {f"compare.{tag}.pgm": t for tag, t in thresholds.items()},
-        }
-        for method, outputs in runs.items():
-            argv = ["-i", "in.pgm", "-o", f"{method}.pgm", "-m", method, "--report", "r.json"]
-            if flavor == "P2":
-                argv.append("--ascii")
-            assert bilevel.cli.main(argv) == 0
-            for name, t in outputs.items():
-                assert (tmp_path / name).read_bytes() == write_pgm(binarize(image, t), flavor)
-        capsys.readouterr()
-
     # block_pixels is the patched block size of the flavor's encoder.
     @pytest.mark.parametrize("flavor,block_pixels", [("P5", 64), ("P2", 16)])
     def test_block_size_follows_the_output_flavor(
@@ -506,38 +452,6 @@ def count_calls(monkeypatch, owner, name: str) -> list:
 
 
 class TestOnePixelPass:
-    def reference_outputs(self, inp: Path, out_dir: Path) -> dict:
-        """The compare run's files, each computed straight from the pixels."""
-        image = read_pgm(inp.read_bytes())
-        flat = image.pixels.reshape(-1)
-        mean, iterative = mean_threshold(image), iterative_optimum_threshold(image)
-
-        def binary(t):
-            return BinaryImage(np.where(image.pixels > t, 255, 0).astype(np.uint8))
-
-        iter_binary = binary(iterative.optimum)
-        hist_dir = out_dir / "h"
-        report = RunReport(
-            input_path=str(inp),
-            width=image.width,
-            height=image.height,
-            mean_result=mean,
-            iterative_result=iterative,
-            histogram_input_path=str(hist_dir / "scan.input.csv"),
-            histogram_output_path=str(hist_dir / "scan.output.csv"),
-        )
-        return {
-            out_dir / "out.mean.pgm": write_pgm(binary(mean.optimum), "P5"),
-            out_dir / "out.iter.pgm": write_pgm(iter_binary, "P5"),
-            hist_dir / "scan.input.csv": emit_histogram_csv(
-                Histogram(np.bincount(flat, minlength=256))
-            ),
-            hist_dir / "scan.output.csv": emit_histogram_csv(
-                Histogram(np.bincount(iter_binary.pixels.reshape(-1), minlength=256))
-            ),
-            out_dir / "r.json": emit_report(report),
-        }
-
     def test_compare_run_counts_pixels_once_and_validates_no_binary(
         self, tmp_path, monkeypatch, capsys
     ):
@@ -546,10 +460,9 @@ class TestOnePixelPass:
         height, width = tile.shape
         # Over 300 x 300 pixels, so build_histogram takes more than one slice.
         image = GrayImage(np.tile(tile, (300 // height + 1, 300 // width + 1)))
-        inp = tmp_path / "scan.pgm"
-        save_pgm(inp, image)
-        out_dir = tmp_path / "out"
-        expected = self.reference_outputs(inp, out_dir)
+        monkeypatch.chdir(tmp_path)
+        save_pgm("scan.pgm", image)
+        Path("out").mkdir()
 
         histograms = count_calls(monkeypatch, bilevel.histogram, "build_histogram")
         validations = count_calls(monkeypatch, BinaryImage, "__post_init__")
@@ -559,13 +472,11 @@ class TestOnePixelPass:
         histograms.clear()
         validations.clear()
 
-        argv = ["-i", str(inp), "-o", str(out_dir / "out.pgm"), "-m", "compare",
-                "--report", str(out_dir / "r.json"), "--histograms", str(out_dir / "h")]
-        out_dir.mkdir()
-        assert bilevel.cli.main(argv) == 0
+        run = Run("scan.pgm", "out/out.pgm", "compare", False, "out/r.json", "out/h")
+        assert bilevel.cli.main(run.argv()) == 0
         assert len(histograms) == 1
         assert len(validations) == 0
-        written = {p: p.read_bytes() for p in out_dir.rglob("*") if p.is_file()}
-        assert written == expected
-        summary = capsys.readouterr().out.splitlines()
-        assert [line.split()[0] for line in summary] == ["mean", "iterative"]
+        outputs = dict(zip(["mean", "iterative", "input.csv", "output.csv", "report"], map(Path, run.targets())))
+        assert sorted(p for p in Path("out").rglob("*") if p.is_file()) == sorted(outputs.values())
+        stdout = capsys.readouterr().out
+        assert check_call(Reference(image.pixels), ["mean", "iterative"], "P5", 0, stdout, outputs) == []

@@ -7,9 +7,9 @@ the directory. ``tests/golden.json`` holds the recorded outcomes, so a
 change to any output byte, message or exit code fails here.
 
 The images are built by integer arithmetic, not a random generator, and
-the input files by plain writers (``_raw`` below and
-``helpers.naive_plain_encoding``), so neither depends on the library or on
-the numpy version. Rewrite the corpus only with a change that means to
+the input files by ``encode``, the benchmark's own PGM writer
+(``perfbench/pgmfmt.py``), so neither depends on the library or on the
+numpy version. Rewrite the corpus only with a change that means to
 alter public bytes, and say why in CHANGES.md::
 
     PYTHONPATH=src python tests/test_golden.py
@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 
 import bilevel.cli
-from helpers import naive_plain_encoding, snapshot
+from helpers import encode, snapshot
 
 GOLDEN = Path(__file__).with_name("golden.json")
 
@@ -55,11 +55,6 @@ def _images() -> dict[str, np.ndarray]:
     }
 
 
-def _raw(pixels: np.ndarray) -> bytes:
-    height, width = pixels.shape
-    return b"P5\n%d %d\n255\n" % (width, height) + pixels.tobytes()
-
-
 # The six flag sets every image runs under; the last one takes the default method.
 FLAG_SETS = {
     "mean": ["-m", "mean"],
@@ -72,13 +67,13 @@ FLAG_SETS = {
 
 IO = ["-i", "in.pgm", "-o", "out.pgm"]
 MEAN = [*IO, "-m", "mean"]
-TINY = _raw(np.zeros((1, 2), np.uint8))
+TINY = encode(np.zeros((1, 2), np.uint8), "P5")
 
 # name: (input bytes, argv, directory set-up or None)
 CASES = {
-    f"{image}-{flavor}-{flags}": (encode(pixels), [*IO, *argv], None)
+    f"{image}-{flavor}-{flags}": (encode(pixels, flavor), [*IO, *argv], None)
     for image, pixels in _images().items()
-    for flavor, encode in (("P2", naive_plain_encoding), ("P5", _raw))
+    for flavor in ("P2", "P5")
     for flags, argv in FLAG_SETS.items()
 }
 CASES.update(

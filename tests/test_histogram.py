@@ -18,7 +18,7 @@ from bilevel import (
     class_mean,
     global_mean,
 )
-from helpers import image_of, naive_class_mean, naive_mean, random_gray_image
+from helpers import image_of, naive_class_mean, random_gray_image
 
 INT64_MAX = 2**63 - 1
 
@@ -201,12 +201,6 @@ class TestGlobalMean:
     def test_empty_histogram_raises(self):
         with pytest.raises(EmptyInputError):
             global_mean(Histogram(np.zeros(256, dtype=np.int64)))
-
-    def test_matches_naive_mean_bitwise(self):
-        rng = np.random.default_rng(44)
-        for _ in range(100):
-            img = random_gray_image(rng, max_side=24)
-            assert global_mean(build_histogram(img)) == naive_mean(img.pixels)
 
 
 class TestClassMean:

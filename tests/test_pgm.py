@@ -28,7 +28,7 @@ from bilevel import (
 from helpers import (
     OVERLONG_DIGIT_INPUTS,
     Plan,
-    naive_plain_encoding,
+    encode,
     naive_plain_samples,
     random_gray_image,
 )
@@ -451,12 +451,12 @@ class TestSlicedCodec:
         ):
             chunks = list(bilevel.pgm._pgm_body(image.pixels, "P2"))
             assert len(chunks) == -(-height // rows)
-            assert write_pgm(image, "P2") == naive_plain_encoding(image.pixels)
+            assert write_pgm(image, "P2") == encode(image.pixels, "P2")
             save_pgm(tmp_path / "out.pgm", image, "P2")
-            assert (tmp_path / "out.pgm").read_bytes() == naive_plain_encoding(image.pixels)
+            assert (tmp_path / "out.pgm").read_bytes() == encode(image.pixels, "P2")
             level = bilevel.threshold._split_level(threshold)
             streamed = b"".join(bilevel.pgm._pgm_file(image.pixels, "P2", level))
-            assert streamed == naive_plain_encoding(binary.pixels)
+            assert streamed == encode(binary.pixels, "P2")
             streamed = b"".join(bilevel.pgm._pgm_file(image.pixels, "P5", level))
             assert streamed == write_pgm(binary)
 
@@ -552,13 +552,13 @@ class TestCodecProperties:
     @example(pixels=np.arange(256, dtype=np.uint8).reshape(1, 256))
     @example(pixels=np.arange(256, dtype=np.uint8).reshape(256, 1))
     def test_plain_encode_matches_naive_rows(self, pixels):
-        assert write_pgm(GrayImage(pixels), "P2") == naive_plain_encoding(pixels)
+        assert write_pgm(GrayImage(pixels), "P2") == encode(pixels, "P2")
 
     @settings(max_examples=100, deadline=None)
     @given(mask=arrays(np.bool_, st.tuples(st.integers(1, 24), st.integers(1, 24))))
     def test_plain_encode_of_binary_matches_naive_rows(self, mask):
         pixels = np.where(mask, 255, 0).astype(np.uint8)
-        assert write_pgm(BinaryImage(pixels), "P2") == naive_plain_encoding(pixels)
+        assert write_pgm(BinaryImage(pixels), "P2") == encode(pixels, "P2")
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -621,7 +621,7 @@ class TestCodecProperties:
             b"%0*d" % (pad, value) + sep for value, pad, sep in zip(pixels.ravel().tolist(), pads, seps)
         )
         plain = read_pgm(b"P2\n%d %d\n255\n" % (width, height) + body)
-        raw = read_pgm(b"P5\n%d %d\n255\n" % (width, height) + pixels.tobytes())
+        raw = read_pgm(encode(pixels, "P5"))
         assert plain == raw == GrayImage(pixels)
 
     @settings(max_examples=150, deadline=None)

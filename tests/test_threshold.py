@@ -19,7 +19,7 @@ from bilevel import (
     select_iterative,
     select_mean,
 )
-from helpers import bimodal_gray_image, image_of, naive_fixed_points, random_gray_image
+from helpers import Reference, bimodal_gray_image, image_of, random_gray_image
 
 
 def gray_pixels(high: int = 255):
@@ -249,7 +249,8 @@ class TestFixedPointOracle:
         rng = np.random.default_rng(52)
         for _ in range(60):
             img = random_gray_image(rng, max_side=10)
-            expected = naive_fixed_points(img.pixels)
+            midpoints = {t: Reference(img.pixels).midpoint(t) for t in range(255)}
+            expected = {t for t, g in midpoints.items() if g is not None and abs(t - g) < 1.0}
             assert fixed_point_oracle(build_histogram(img)) == expected
 
     def test_oracle_nonempty_for_two_distinct_values(self):
@@ -261,16 +262,6 @@ class TestFixedPointOracle:
 
 
 class TestThresholdProperties:
-    def test_iterative_lands_near_an_oracle_point(self):
-        rng = np.random.default_rng(54)
-        for _ in range(200):
-            img = random_gray_image(rng, max_side=32)
-            if np.unique(img.pixels).size < 2:
-                continue
-            optimum = iterative_optimum_threshold(img).optimum
-            oracle = fixed_point_oracle(build_histogram(img))
-            assert min(abs(optimum - t) for t in oracle) <= 1.0
-
     def test_histogram_selectors_match_image_wrappers(self):
         rng = np.random.default_rng(65)
         for _ in range(50):
