@@ -42,12 +42,20 @@ BIN_COUNT = 256
 # output), 1.5 MiB; 2^17-pair slices would take it to 2 MiB.
 _SLICE_PIXELS = 1 << 16
 
-# Images of at least this many pixels are counted in pairs. Timing
-# build_histogram alone (2-vCPU Xeon, numpy 2.4, medians of 6 alternating
-# rounds), pairs took 0.81-0.93 of the byte count's time at 1448^2 and
-# 2048^2 on document-scan, bimodal and uniform images, but 0.85-1.01 at
-# 1024^2, 1.00-1.07 at 512^2 and 1.22-1.49 at 256^2-364^2; constant images
-# gained at every size (0.61-0.94).
+# Images of at least this many pixels are counted in pairs. The pairs buy
+# speed where the histogram is concentrated, likely because a pixel count
+# then adds to one bin over and over, each add waiting on the last, where a
+# pair count spreads those adds over up to 256 table entries. Timing build_histogram alone at 4096^2
+# (2-vCPU Xeon, numpy 2.4, 3 runs of 15 rounds, the two counts alternating,
+# the raster at a mapped P5 file's odd offset), pairs took 26-27 against
+# 30-32 ms (medians) on a page with 32 % of its pixels in one bin, and 27-30
+# against 49-54 ms on a two-level page (85 %); on the benchmark's noisy
+# scan (top bin 2 %) the two were within 1.5 ms of each other and the
+# faster one changed from run to run (pairs faster in 1, 6 and 6 of 15
+# rounds). Below this size pairs gained little or lost, in an earlier
+# measurement (medians of 6 alternating rounds): 0.85-1.01 of the pixel
+# count's time at 1024^2, 1.00-1.07 at 512^2 and 1.22-1.49 at 256^2-364^2,
+# though constant images gained at every size (0.61-0.94).
 _PAIR_MIN_PIXELS = 1 << 21
 
 _INT64_MAX = (1 << 63) - 1

@@ -186,6 +186,10 @@ class TruncatedDataError(PgmError):
         self.expected = expected
         self.found = found
 
+    def __reduce__(self):
+        # An exception pickles and copies as its class called with self.args, here the message.
+        return type(self), (self.expected, self.found)
+
 
 class SampleRangeError(PgmError):
     """A plain-format sample exceeds the declared maxval."""

@@ -3,10 +3,12 @@
 The run oracle is the benchmark's: ``Reference`` and ``check_call`` from
 ``perfbench/check.py`` rebuild a CLI call's stdout and files from the input
 pixels, and ``encode`` from ``perfbench/pgmfmt.py`` is the one PGM writer of
-the tests. Neither imports ``bilevel``. The two references kept here,
-``naive_class_mean`` and ``naive_plain_samples``, deliberately take the
-dumbest possible route (filter the raw pixel list, one Python token at a
-time) so they share no code path with the implementations they check.
+the tests. Neither imports ``bilevel``. The references kept here,
+``naive_class_mean``, ``naive_read_pgm`` and its P2 raster part
+``naive_plain_samples``, deliberately take the dumbest possible route
+(filter the raw pixel list, walk the header one byte at a time, one Python
+token at a time) so they share no code path with the implementations they
+check.
 """
 
 import builtins
@@ -17,6 +19,7 @@ import io
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import namedtuple
 from collections.abc import Callable
 from pathlib import Path
@@ -27,7 +30,7 @@ import pytest
 
 import bilevel.cli
 import bilevel.pgm
-from bilevel import GrayImage, PgmFormatError, SampleRangeError, TruncatedDataError
+from bilevel import GrayImage, PgmFormatError, SampleRangeError, TruncatedDataError, UnsupportedDepthError
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 PERFBENCH_DIR = SRC_DIR.with_name("perfbench")
@@ -37,6 +40,7 @@ sys.path.append(str(PERFBENCH_DIR))
 from check import Reference, check_call
 from pgmfmt import encode
 
+WHITESPACE = b" \t\n\r\x0b\x0c"  # the six bytes a PGM header and a P2 raster treat as whitespace
 ERRNOS = (errno.EIO, errno.ENOSPC, errno.EACCES)
 PROXIED = ("mkdir", "rmdir", "unlink", "replace", "lstat")
 UNDOS = ("unlink", "rmdir")  # README's rollback unlinks files and removes directories, and does nothing else
@@ -84,13 +88,68 @@ def naive_class_mean(pixels, lo: int, hi: int):
     return sum(selected) / len(selected)
 
 
+def naive_read_pgm(data: bytes) -> np.ndarray:
+    """Reference PGM decoder: the header one byte at a time, as README orders its checks.
+
+    The magic and the byte after it; then width, height and maxval, each
+    after whitespace or ``#`` comments that run to CR or LF, each checked
+    for missing, non-digit, then over 20 significant digits; then the
+    dimensions; then maxval; then a P5 raster's delimiter byte and byte
+    count, or a P2 raster by ``naive_plain_samples``. Raises the same
+    exception, with the same message, that ``read_pgm`` must raise.
+    """
+    magic = data[:2]
+    if magic not in (b"P2", b"P5"):
+        raise PgmFormatError(f"not an 8-bit PGM file: bad magic {magic!r}")
+    if data[2:3] and data[2:3] not in WHITESPACE + b"#":
+        raise PgmFormatError(f"not an 8-bit PGM file: bad magic {data[:3]!r}")
+    pos, values = 2, []
+    for what in ("width", "height", "maxval"):
+        while data[pos : pos + 1] and data[pos : pos + 1] in WHITESPACE + b"#":
+            if data[pos : pos + 1] == b"#":
+                while data[pos : pos + 1] not in b"\r\n":  # the end of the data is in every bytes
+                    pos += 1
+            else:
+                pos += 1
+        start = pos
+        while data[pos : pos + 1] not in WHITESPACE + b"#":
+            pos += 1
+        token = data[start:pos]
+        if not token:
+            raise PgmFormatError(f"unexpected end of header while reading {what}")
+        if not token.isdigit():
+            raise PgmFormatError(f"invalid {what} token {token.decode('ascii', 'replace')!r} in header")
+        if len(token.lstrip(b"0")) > 20:
+            raise PgmFormatError(f"{what} in header has more than 20 significant digits")
+        values.append(int(token.lstrip(b"0") or b"0"))
+    width, height, maxval = values
+    if width < 1 or height < 1:
+        raise PgmFormatError(f"invalid image dimensions {width}x{height}")
+    if maxval != 255:
+        raise UnsupportedDepthError(f"unsupported maxval {maxval}: only 8-bit samples (255) are handled")
+    if magic == b"P2":
+        return naive_plain_samples(data[pos:], width, height)
+    expected = width * height
+    if not data[pos:]:
+        raise TruncatedDataError(expected, 0)
+    if data[pos : pos + 1] not in WHITESPACE:
+        raise PgmFormatError("expected a single whitespace byte after maxval in P5 header")
+    raster = data[pos + 1 :]
+    if len(raster) < expected:
+        raise TruncatedDataError(expected, len(raster))
+    if len(raster) > expected:
+        raise PgmFormatError(f"surplus raster data: expected {expected} bytes, found {len(raster)}")
+    return np.frombuffer(raster, np.uint8).reshape(height, width)
+
+
 def naive_plain_samples(text: bytes, width: int, height: int) -> np.ndarray:
     """Reference P2 raster decoder: one Python token at a time.
 
     Strips ``#`` comments line by line, splits on whitespace, checks the
-    token count, then each token with ``isdigit``, then each value, held as
-    a Python ``int`` so no width limits it, against 255. Raises the same
-    exception, with the same message, that ``read_pgm`` must raise.
+    token count, then each token with ``isdigit``, then each token's
+    significant digits (leading zeros stripped, so no limit on converting
+    long digit strings applies) against 255. Raises the same exception,
+    with the same message, that ``read_pgm`` must raise.
     """
     if b"#" in text:
         text = b"\n".join(line.split(b"#", 1)[0] for line in text.splitlines())
@@ -103,11 +162,21 @@ def naive_plain_samples(text: bytes, width: int, height: int) -> np.ndarray:
     for token in tokens:
         if not token.isdigit():
             raise PgmFormatError(f"invalid sample token {token.decode('ascii', 'replace')!r}")
-    values = [int(token) for token in tokens]
+    values = [token.lstrip(b"0") or b"0" for token in tokens]
     for value in values:
-        if value > 255:
-            raise SampleRangeError(f"sample value {value} exceeds maxval 255")
-    return np.array(values, dtype=np.uint8).reshape(height, width)
+        if len(value) > 3 or int(value) > 255:
+            raise SampleRangeError(f"sample value {value.decode('ascii')} exceeds maxval 255")
+    return np.array([int(value) for value in values], dtype=np.uint8).reshape(height, width)
+
+
+def traced_peak(fn: Callable[[], object]) -> int:
+    """``tracemalloc``'s peak, in bytes, over one call of ``fn``."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def run_python(args, cwd=None, stdin=None, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:

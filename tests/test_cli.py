@@ -2,7 +2,6 @@ import hashlib
 import json
 import os
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +11,9 @@ import bilevel.cli
 import bilevel.histogram
 import bilevel.pgm
 from bilevel import BinaryImage, GrayImage, binarize, load_pgm, mean_threshold, save_pgm, write_pgm
-from helpers import OVERLONG_DIGIT_INPUTS, Plan, Reference, Run, bimodal_gray_image, check_call, execute, run_cli, snapshot
+from helpers import (
+    OVERLONG_DIGIT_INPUTS, Plan, Reference, Run, bimodal_gray_image, check_call, execute, run_cli, snapshot, traced_peak,
+)
 
 
 def make_pgm(directory: Path, name: str, width: int, height: int, values) -> Path:
@@ -340,12 +341,10 @@ class TestMemory:
         monkeypatch.chdir(tmp_path)
         argv = ["-i", "in.pgm", "-o", "out.pgm", *args]
         assert bilevel.cli.main(argv) == 0  # first-use set-up stays out of the peak
-        tracemalloc.start()
-        try:
-            assert bilevel.cli.main(argv) == 0
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        codes = []
+        peak = traced_peak(lambda: codes.append(bilevel.cli.main(argv)))
+        assert codes == [0]
+        return peak
 
     @pytest.mark.parametrize(
         "args",

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -18,7 +17,7 @@ from bilevel import (
     class_mean,
     global_mean,
 )
-from helpers import image_of, naive_class_mean, random_gray_image
+from helpers import image_of, naive_class_mean, random_gray_image, traced_peak
 
 INT64_MAX = 2**63 - 1
 
@@ -115,13 +114,7 @@ class TestBuildHistogram:
         rng = np.random.default_rng(2048)
         image = GrayImage(rng.integers(0, 256, size=(2048, 2048), dtype=np.uint8))
         build_histogram(image)
-        tracemalloc.start()
-        try:
-            build_histogram(image)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.6 * 2**20
+        assert traced_peak(lambda: build_histogram(image)) <= 1.6 * 2**20
 
 
 class TestHistogramType:

@@ -1,7 +1,7 @@
 import collections
-import contextlib
+import copy
 import os
-import tracemalloc
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -27,42 +27,45 @@ from bilevel import (
 )
 from helpers import (
     OVERLONG_DIGIT_INPUTS,
+    WHITESPACE,
     Plan,
     encode,
     naive_plain_samples,
+    naive_read_pgm,
     random_gray_image,
+    traced_peak,
 )
 
 
 class TestReadPgm:
     def test_minimal_plain_file(self):
-        img = read_pgm(b"P2\n2 1\n255\n0 255\n")
+        img = _read(b"P2\n2 1\n255\n0 255\n")
         assert img == GrayImage.from_flat(2, 1, [0, 255])
 
     def test_single_raw_byte(self):
-        img = read_pgm(b"P5\n1 1\n255\n\x5d")
+        img = _read(b"P5\n1 1\n255\n\x5d")
         assert img == GrayImage.from_flat(1, 1, [93])
 
     def test_plain_truncation_reports_counts(self):
         with pytest.raises(TruncatedDataError) as excinfo:
-            read_pgm(b"P2\n2 2\n255\n0 0 0\n")
+            _read(b"P2\n2 2\n255\n0 0 0\n")
         assert excinfo.value.expected == 4
         assert excinfo.value.found == 3
         assert "4" in str(excinfo.value) and "3" in str(excinfo.value)
 
     def test_header_comments_skipped(self):
         data = b"P2\n# created by hand\n2 1\n# another note\n255\n0 255\n"
-        assert read_pgm(data) == GrayImage.from_flat(2, 1, [0, 255])
+        assert _read(data) == GrayImage.from_flat(2, 1, [0, 255])
 
     def test_single_line_header(self):
-        assert read_pgm(b"P2 2 1 255 0 255") == GrayImage.from_flat(2, 1, [0, 255])
+        assert _read(b"P2 2 1 255 0 255") == GrayImage.from_flat(2, 1, [0, 255])
 
     def test_plain_arbitrary_sample_whitespace(self):
         data = b"P2\n2 2\n255\n0\t1\r\n2    3\n"
-        assert read_pgm(data) == GrayImage.from_flat(2, 2, [0, 1, 2, 3])
+        assert _read(data) == GrayImage.from_flat(2, 2, [0, 1, 2, 3])
 
     def test_raw_pixels_keep_row_major_order(self):
-        img = read_pgm(b"P5\n3 2\n255\n" + bytes([1, 2, 3, 4, 5, 6]))
+        img = _read(b"P5\n3 2\n255\n" + bytes([1, 2, 3, 4, 5, 6]))
         assert img.pixels.tolist() == [[1, 2, 3], [4, 5, 6]]
 
     def test_raw_pixels_are_a_read_only_view_of_the_input_bytes(self):
@@ -79,78 +82,87 @@ class TestReadPgm:
         data[-6:] = bytes(6)
         assert image.pixels.tolist() == [[1, 2, 3], [4, 5, 6]]
 
+    def test_every_error_survives_pickle_and_copy(self):
+        # As a process pool sends a decode error back to its caller.
+        errors = [PgmError("m"), PgmFormatError("m"), UnsupportedDepthError("m"), TruncatedDataError(4, 2),
+                  SampleRangeError("m")]
+        assert {type(error) for error in errors} == {PgmError, *PgmError.__subclasses__()}
+        for error in errors:
+            for clone in (pickle.loads(pickle.dumps(error)), copy.copy(error)):
+                assert (type(clone), str(clone), vars(clone)) == (type(error), str(error), vars(error))
+
 
 class TestReadPgmRejections:
     @pytest.mark.parametrize("data", [b"", b"P3\n1 1\n255\n0\n", b"P6\n1 1\n255\n\x00", b"Px", b"junk"])
     def test_bad_magic(self, data):
         with pytest.raises(PgmFormatError, match="magic"):
-            read_pgm(data)
+            _read(data)
 
     def test_magic_must_be_delimited(self):
         with pytest.raises(PgmFormatError, match="magic"):
-            read_pgm(b"P25 1 255 0 0 0 0 0")
+            _read(b"P25 1 255 0 0 0 0 0")
 
     def test_a_three_byte_file_is_checked_for_its_delimiter(self):
         with pytest.raises(PgmFormatError, match=r"^not an 8-bit PGM file: bad magic b'P2x'$"):
-            read_pgm(b"P2x")
+            _read(b"P2x")
 
     @pytest.mark.parametrize("maxval", [1, 254, 256, 65535])
     def test_non_8bit_maxval(self, maxval):
         with pytest.raises(UnsupportedDepthError, match=str(maxval)):
-            read_pgm(f"P2\n1 1\n{maxval}\n0\n".encode())
+            _read(f"P2\n1 1\n{maxval}\n0\n".encode())
 
     def test_raw_truncation_reports_counts(self):
         with pytest.raises(TruncatedDataError) as excinfo:
-            read_pgm(b"P5\n2 2\n255\n\x00\x01")
+            _read(b"P5\n2 2\n255\n\x00\x01")
         assert (excinfo.value.expected, excinfo.value.found) == (4, 2)
 
     def test_raw_missing_raster_entirely(self):
         with pytest.raises(TruncatedDataError):
-            read_pgm(b"P5\n2 2\n255\n")
+            _read(b"P5\n2 2\n255\n")
 
     def test_raw_header_ending_at_maxval(self):
         with pytest.raises(TruncatedDataError) as excinfo:
-            read_pgm(b"P5\n2 2\n255")
+            _read(b"P5\n2 2\n255")
         assert (excinfo.value.expected, excinfo.value.found) == (4, 0)
 
     @pytest.mark.parametrize("sample", ["256", "99999999999999999999"])
     def test_plain_sample_above_maxval(self, sample):
         with pytest.raises(SampleRangeError, match=sample):
-            read_pgm(f"P2\n2 1\n255\n0 {sample}\n".encode())
+            _read(f"P2\n2 1\n255\n0 {sample}\n".encode())
 
     def test_the_first_sample_above_maxval_is_named_not_the_first_with_three_digits(self):
         with pytest.raises(SampleRangeError, match=r"^sample value 300 exceeds maxval 255$"):
-            read_pgm(b"P2 2 1 255 100 300")
+            _read(b"P2 2 1 255 100 300")
 
     def test_plain_negative_sample_is_malformed(self):
         with pytest.raises(PgmFormatError):
-            read_pgm(b"P2\n2 1\n255\n0 -1\n")
+            _read(b"P2\n2 1\n255\n0 -1\n")
 
     def test_plain_non_numeric_sample(self):
         with pytest.raises(PgmFormatError, match="sample"):
-            read_pgm(b"P2\n2 1\n255\n0 abc\n")
+            _read(b"P2\n2 1\n255\n0 abc\n")
 
     def test_plain_surplus_samples_rejected(self):
         with pytest.raises(PgmFormatError, match="surplus"):
-            read_pgm(b"P2\n2 1\n255\n0 1 2\n")
+            _read(b"P2\n2 1\n255\n0 1 2\n")
 
     def test_raw_surplus_bytes_rejected(self):
         with pytest.raises(PgmFormatError, match="surplus"):
-            read_pgm(b"P5\n2 1\n255\n\x00\x01\x02")
+            _read(b"P5\n2 1\n255\n\x00\x01\x02")
 
     @pytest.mark.parametrize("data", [b"P2", b"P2\n2", b"P2\n2 1", b"P2\n2 1\n"])
     def test_incomplete_header(self, data):
         with pytest.raises(PgmFormatError):
-            read_pgm(data)
+            _read(data)
 
     @pytest.mark.parametrize("header", [b"P2\n0 1\n255\n\n", b"P2\n1 0\n255\n\n"])
     def test_zero_dimension_rejected(self, header):
         with pytest.raises(PgmFormatError, match="dimensions"):
-            read_pgm(header)
+            _read(header)
 
     def test_non_numeric_header_token(self):
         with pytest.raises(PgmFormatError, match="width"):
-            read_pgm(b"P2\nwide 1\n255\n0\n")
+            _read(b"P2\nwide 1\n255\n0\n")
 
     @pytest.mark.parametrize("name", sorted(OVERLONG_DIGIT_INPUTS))
     def test_digit_runs_past_int_limits(self, name):
@@ -161,16 +173,16 @@ class TestReadPgmRejections:
             "maxval": (PgmFormatError, "maxval in header has more than 20 significant digits"),
         }[name]
         with pytest.raises(error) as excinfo:
-            read_pgm(OVERLONG_DIGIT_INPUTS[name])
+            _read(OVERLONG_DIGIT_INPUTS[name])
         assert str(excinfo.value) == message
 
     def test_header_token_length_counts_significant_digits(self):
         padded = b"0" * 30
-        assert read_pgm(b"P2 %s1 %s1 %s255 7" % (padded, padded, padded)).pixels.tolist() == [[7]]
+        assert _read(b"P2 %s1 %s1 %s255 7" % (padded, padded, padded)).pixels.tolist() == [[7]]
         with pytest.raises(TruncatedDataError):
-            read_pgm(b"P5 1%s 1 255 " % (b"0" * 19))
+            _read(b"P5 1%s 1 255 " % (b"0" * 19))
         with pytest.raises(PgmFormatError, match="^height in header has more than 20"):
-            read_pgm(b"P5 1 1%s 255 " % (b"0" * 20))
+            _read(b"P5 1 1%s 255 " % (b"0" * 20))
 
     def test_all_rejections_are_pgm_errors(self):
         corpus = [
@@ -182,7 +194,7 @@ class TestReadPgmRejections:
         ]
         for data in corpus:
             with pytest.raises(PgmError):
-                read_pgm(data)
+                _read(data)
 
 
 class TestWritePgm:
@@ -257,9 +269,7 @@ _SEPARATORS = st.sampled_from(
     [b"", b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c", b"\r\n", b" \n ", b" \t\n\r\x0b\x0c"]
 )
 
-# What may stand between header tokens: runs of whitespace and '#' comments,
-# which end at a line break and may hold any other byte.
-_WHITESPACE_BYTES = st.sampled_from(b" \t\n\r\x0b\x0c")
+
 class TestSavePgm:
     """``save_pgm`` writes all of a file or nothing, through a temp file renamed onto the target."""
 
@@ -309,16 +319,17 @@ class TestSavePgm:
             contract.check_save(path, "P5")  # IsADirectoryError naming path, no chunk drawn, every entry as it was
 
 
+# What may stand between header tokens: runs of whitespace and '#' comments,
+# which end at a line break and may hold any other byte.
 _COMMENTS = st.builds(
     lambda text, end: b"#" + text.replace(b"\n", b"").replace(b"\r", b"") + end,
     st.binary(max_size=8),
     st.sampled_from([b"\n", b"\r", b"\r\n"]),
 )
-_FILLERS = st.lists(
-    st.one_of(st.lists(_WHITESPACE_BYTES, min_size=1, max_size=3).map(bytes), _COMMENTS),
-    min_size=1,
-    max_size=3,
-).map(b"".join)
+_FILLERS = st.one_of(
+    _SEPARATORS.filter(bool),
+    st.tuples(_SEPARATORS, _COMMENTS, _SEPARATORS, st.one_of(st.just(b""), _COMMENTS)).map(b"".join),
+)
 
 
 def _images(max_side: int):
@@ -330,8 +341,8 @@ def _images(max_side: int):
 
 
 @st.composite
-def _plain_rasters(draw):
-    """(raster, width, height); the dimensions often match the piece count or miss it by a row.
+def _plain_rasters(draw, separators=_SEPARATORS):
+    """(raster, width, height); the width divides the piece count, and the height often matches it or misses it by a row.
 
     The raster opens with the byte that ends the maxval token: whitespace,
     or a comment that may swallow the rest of its line. No pieces gives a
@@ -339,21 +350,77 @@ def _plain_rasters(draw):
     """
     opening = draw(st.sampled_from([b"\n", b" ", b"\t", b"\r\n", b"#c\n", b"#"]))
     pieces = draw(st.lists(st.one_of(_SAMPLE_TOKENS, _SAMPLE_TOKENS, _ODD_PIECES), max_size=24))
-    seps = draw(st.lists(_SEPARATORS, min_size=len(pieces) + 1, max_size=len(pieces) + 1))
+    seps = draw(st.lists(separators, min_size=len(pieces) + 1, max_size=len(pieces) + 1))
     body = opening + seps[0] + b"".join(piece + sep for piece, sep in zip(pieces, seps[1:]))
-    width = draw(st.integers(1, 4))
+    width = draw(st.sampled_from([width for width in (1, 2, 3, 4) if len(pieces) % width == 0]))
     exact = max(1, len(pieces) // width)
     height = draw(st.one_of(st.just(exact), st.integers(max(1, exact - 1), exact + 1), st.integers(1, 4)))
     return body, width, height
 
 
+def _header_tokens(value: int):
+    """A header token for ``value``: as written, or zero-padded, or (one in nine) zero, or odd.
+
+    An odd token has more than 20 significant digits, or just 20, or zeros
+    that do not count; or it is not a digit run, or it is empty.
+    """
+    padded = st.integers(2, 24).map(lambda digits: b"%0*d" % (digits, value))
+    odd = st.sampled_from([
+        b"1" + b"0" * 20, b"0" * 9 + b"9" * 21, b"9" * 20, b"0" * 30 + b"1",
+        b"wide", b"-1", b"+1", b"1.5", b"0x1", b"\xff", b"",
+    ])
+    zero = st.sampled_from([b"0", b"000"])
+    return st.sampled_from([st.just(b"%d" % value)] * 5 + [padded, padded, zero, odd]).flatmap(lambda token: token)
+
+
+@st.composite
+def _pgm_files(draw):
+    """Whole files from the PGM grammar, each part mostly well formed and sometimes not.
+
+    A magic, P2 or P5 or (one in eleven) a bad one; filler before every
+    header token; width, height and a maxval of 255, or one in four of 1,
+    254, 256 or 65535, from ``_header_tokens``, an empty token ending the
+    file; then a P2 raster from ``_plain_rasters``, so its dimensions often
+    match its pieces, no two of them glued into one token; or one delimiter byte
+    (whitespace, or one in four ``#``) and a P5 raster one byte short, exact
+    or one byte over. One file in eight is cut anywhere and ends in
+    arbitrary bytes.
+    """
+    magic = draw(st.sampled_from([b"P2", b"P5"] * 5 + [b"P3"]))
+    if magic == b"P2":
+        raster, width, height = draw(_plain_rasters(_SEPARATORS.filter(bool)))
+    else:
+        width, height = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        size = width * height + draw(st.integers(-1, 1))
+        delimiter = draw(st.sampled_from(WHITESPACE + b"##"))
+        raster = bytes([delimiter]) + draw(st.binary(min_size=size, max_size=size))
+    maxval = draw(st.sampled_from([255] * 12 + [1, 254, 256, 65535]))
+    data = magic
+    for value in (width, height, maxval):
+        token = draw(_header_tokens(value))
+        if not token:
+            break
+        data += draw(_FILLERS) + token
+    else:
+        data += raster
+    if draw(st.sampled_from([False] * 7 + [True])):
+        data = data[: draw(st.integers(0, len(data)))] + draw(st.binary(max_size=12))
+    return data
+
+
 def decode_outcome(decode, *args):
-    """(image pixels, None) on success, else (exception class, message)."""
+    """The decoded pixels as nested lists, or the class, message and attributes of the PgmError raised."""
     try:
         result = decode(*args)
     except PgmError as exc:
-        return type(exc), str(exc)
-    return np.asarray(getattr(result, "pixels", result)).tolist(), None
+        return type(exc), str(exc), vars(exc)
+    return np.asarray(getattr(result, "pixels", result)).tolist()
+
+
+def _read(data):
+    """``read_pgm(data)``, once the reference decoder has been seen to agree with it on ``data``."""
+    assert decode_outcome(read_pgm, data) == decode_outcome(naive_read_pgm, data)
+    return read_pgm(data)
 
 
 def _ramp(height: int, width: int) -> np.ndarray:
@@ -396,9 +463,9 @@ class TestSlicedCodec:
         assert sliced == decode_outcome(naive_plain_samples, raster, width, height)
 
     def test_zero_padded_tokens_past_the_int_digit_limit(self):
-        # The naive reference cannot int() these tokens. The first crosses a
-        # slice's nominal end; the second precedes, in its slice, the sample
-        # named above 255.
+        # Zero-padded tokens past the interpreter's limit on int() of a digit
+        # string: the first reads as 255; the second precedes, in its slice,
+        # the sample named above 255.
         assert read_pgm(b"P2 2 1 255 " + b"0" * 40_000 + b"255 1").pixels.tolist() == [[255, 1]]
         with pytest.raises(SampleRangeError, match=r"^sample value 1000 exceeds maxval 255$"):
             read_pgm(b"P2 2 1 255 " + b"0" * 5000 + b"7 0001000")
@@ -419,15 +486,11 @@ class TestSlicedCodec:
         }
         peaks = {}
         for name, (data, error) in inputs.items():
-            tracemalloc.start()
-            try:
-                with pytest.raises(error) if error else contextlib.nullcontext():
-                    decoded = read_pgm(data)
-                peaks[name] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
             if error is None:
-                assert decoded == image, name
+                assert read_pgm(data) == image, name
+                peaks[name] = traced_peak(lambda: read_pgm(data))
+            else:
+                peaks[name] = traced_peak(lambda: pytest.raises(error, read_pgm, data))
         for name, peak in peaks.items():
             assert peak <= peaks["clean"] + 2**19, (name, peaks)
         # The image is 1 MiB of the clean peak. Slices of 2^16 bytes peak at
@@ -515,36 +578,85 @@ class TestSlicedCodec:
         # 184-226 KiB at every width here (numpy 2.4).
         rng = np.random.default_rng(width)
         pixels = rng.integers(0, 256, size=(2**17 // width, width), dtype=np.uint8)
-        collections.deque(bilevel.pgm._pgm_body(pixels, "P2", 127), 0)  # builds the tables
-        tracemalloc.start()
-        try:
+        def drain():
             collections.deque(bilevel.pgm._pgm_body(pixels, "P2", 127), 0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 384 * 2**10
+
+        drain()  # builds the tables
+        assert traced_peak(drain) <= 384 * 2**10
 
 
 class TestCodecProperties:
-    @settings(max_examples=400, deadline=None)
-    @given(case=_plain_rasters())
-    @example(case=(b"\n0 99999999999999999999", 2, 1))
-    @example(case=(b" 300 1 99999999999999999999", 3, 1))
-    @example(case=(b"\x0b7\x0c00008\r", 1, 2))
-    @example(case=(b"#7\n8", 1, 1))
-    @example(case=(b"\n", 1, 1))
-    @example(case=(b"", 1, 1))
-    @example(case=(b"\n5 7", 2, 1))
-    @example(case=(b"\n1000", 1, 1))
-    @example(case=(b"\n0000256", 1, 1))
-    @example(case=(b"\n7 0001000 8", 3, 1))
-    @example(case=(b"\n12 34\n56 255", 2, 2))
-    def test_plain_decode_matches_reference(self, case):
-        raster, width, height = case
-        header = b"P2\n%d %d\n255" % (width, height)
-        assert decode_outcome(read_pgm, header + raster) == decode_outcome(
-            naive_plain_samples, raster, width, height
+    @settings(max_examples=300, deadline=None)
+    @given(data=_pgm_files())
+    # Inputs no other test reads; every input of TestReadPgm and
+    # TestReadPgmRejections meets the reference decoder through _read.
+    @example(data=b"P2\n1 2\n255\x0b7\x0c00008\r")
+    @example(data=b"P2\n1 1\n255#7\n8")
+    @example(data=b"P2\n1 1\n255\n")
+    @example(data=b"P2\n1 1\n255")
+    @example(data=b"P2\n3 1\n255 300 1 99999999999999999999")
+    # The range is known only for a slice of digits and whitespace, so it takes two slices to see the order.
+    @example(data=b"P2 2 1 255 256" + b" " * 2**16 + b"x")
+    def test_read_matches_the_reference_decoder(self, data):
+        assert decode_outcome(read_pgm, data) == decode_outcome(naive_read_pgm, data)
+
+    @settings(max_examples=150, deadline=None)
+    @given(pixels=_images(8), data=st.data())
+    def test_plain_and_raw_decode_to_the_same_image(self, pixels, data):
+        height, width = pixels.shape
+        # Any legal spelling of the samples: padded tokens, any whitespace run.
+        pads = data.draw(st.lists(st.integers(1, 5), min_size=pixels.size, max_size=pixels.size))
+        seps = data.draw(
+            st.lists(_SEPARATORS.filter(bool), min_size=pixels.size, max_size=pixels.size)
         )
+        body = b"".join(
+            b"%0*d" % (pad, value) + sep for value, pad, sep in zip(pixels.ravel().tolist(), pads, seps)
+        )
+        plain = read_pgm(b"P2\n%d %d\n255\n" % (width, height) + body)
+        raw = read_pgm(encode(pixels, "P5"))
+        assert plain == raw == GrayImage(pixels)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        pixels=_images(6),
+        fillers=st.lists(_FILLERS, min_size=4, max_size=4),
+        raw_separator=st.sampled_from(WHITESPACE),
+    )
+    def test_header_comments_and_whitespace_decode_like_the_bare_file(
+        self, pixels, fillers, raw_separator
+    ):
+        # Fillers after the magic, width and height in both flavors, and
+        # after maxval in P2; P5 allows one whitespace byte there, no comment.
+        image = GrayImage(pixels)
+        height, width = pixels.shape
+        header = b"%s%d%s%d%s255" % (fillers[0], width, fillers[1], height, fillers[2])
+        plain = b"P2" + header + fillers[3] + b" ".join(b"%d" % v for v in pixels.ravel().tolist())
+        raw = b"P5" + header + bytes([raw_separator]) + pixels.tobytes()
+        assert read_pgm(plain) == read_pgm(write_pgm(image, "P2")) == image
+        assert read_pgm(raw) == read_pgm(write_pgm(image, "P5")) == image
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"P5\n1 1\n255#c\n\x07", "expected a single whitespace byte after maxval in P5 header"),
+            (b"P5\n1 1\n255 #c\n\x07", "surplus raster data: expected 1 bytes, found 4"),
+        ],
+    )
+    def test_raw_comment_after_maxval_is_rejected(self, data, message):
+        with pytest.raises(PgmFormatError, match=f"^{message}$"):
+            _read(data)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        prefix=st.sampled_from([b"", b"P2 ", b"P5 ", b"P2 3 2 255 ", b"P5 3 2 255 "]),
+        tail=st.binary(max_size=40),
+    )
+    def test_arbitrary_bytes_raise_only_pgm_errors(self, prefix, tail):
+        try:
+            image = read_pgm(prefix + tail)
+        except PgmError:
+            return
+        assert isinstance(image, GrayImage)
 
     @settings(max_examples=200, deadline=None)
     @given(pixels=_images(24))
@@ -608,64 +720,6 @@ class TestCodecProperties:
             body = b"".join(bilevel.pgm._pgm_body(pixels, flavor, level))
         assert body == b"".join(bilevel.pgm._pgm_body(binary, flavor))
 
-    @settings(max_examples=150, deadline=None)
-    @given(pixels=_images(8), data=st.data())
-    def test_plain_and_raw_decode_to_the_same_image(self, pixels, data):
-        height, width = pixels.shape
-        # Any legal spelling of the samples: padded tokens, any whitespace run.
-        pads = data.draw(st.lists(st.integers(1, 5), min_size=pixels.size, max_size=pixels.size))
-        seps = data.draw(
-            st.lists(_SEPARATORS.filter(bool), min_size=pixels.size, max_size=pixels.size)
-        )
-        body = b"".join(
-            b"%0*d" % (pad, value) + sep for value, pad, sep in zip(pixels.ravel().tolist(), pads, seps)
-        )
-        plain = read_pgm(b"P2\n%d %d\n255\n" % (width, height) + body)
-        raw = read_pgm(encode(pixels, "P5"))
-        assert plain == raw == GrayImage(pixels)
-
-    @settings(max_examples=150, deadline=None)
-    @given(
-        pixels=_images(6),
-        fillers=st.lists(_FILLERS, min_size=4, max_size=4),
-        raw_separator=_WHITESPACE_BYTES,
-    )
-    def test_header_comments_and_whitespace_decode_like_the_bare_file(
-        self, pixels, fillers, raw_separator
-    ):
-        # Fillers after the magic, width and height in both flavors, and
-        # after maxval in P2; P5 allows one whitespace byte there, no comment.
-        image = GrayImage(pixels)
-        height, width = pixels.shape
-        header = b"%s%d%s%d%s255" % (fillers[0], width, fillers[1], height, fillers[2])
-        plain = b"P2" + header + fillers[3] + b" ".join(b"%d" % v for v in pixels.ravel().tolist())
-        raw = b"P5" + header + bytes([raw_separator]) + pixels.tobytes()
-        assert read_pgm(plain) == read_pgm(write_pgm(image, "P2")) == image
-        assert read_pgm(raw) == read_pgm(write_pgm(image, "P5")) == image
-
-    @pytest.mark.parametrize(
-        "data, message",
-        [
-            (b"P5\n1 1\n255#c\n\x07", "expected a single whitespace byte after maxval in P5 header"),
-            (b"P5\n1 1\n255 #c\n\x07", "surplus raster data: expected 1 bytes, found 4"),
-        ],
-    )
-    def test_raw_comment_after_maxval_is_rejected(self, data, message):
-        with pytest.raises(PgmFormatError, match=f"^{message}$"):
-            read_pgm(data)
-
-    @settings(max_examples=400, deadline=None)
-    @given(
-        prefix=st.sampled_from([b"", b"P2 ", b"P5 ", b"P2 3 2 255 ", b"P5 3 2 255 "]),
-        tail=st.binary(max_size=40),
-    )
-    def test_arbitrary_bytes_raise_only_pgm_errors(self, prefix, tail):
-        try:
-            image = read_pgm(prefix + tail)
-        except PgmError:
-            return
-        assert isinstance(image, GrayImage)
-
     @settings(max_examples=100, deadline=None)
     @given(
         flavor=st.sampled_from([b"P2", b"P5"]),
@@ -684,12 +738,5 @@ class TestCodecProperties:
         # clean P2 raster must be refused before the slice-wise decoder
         # allocates the declared image.
         data = b"%s\n%d %d\n255\n" % (flavor, width, height) + raster
-        tracemalloc.start()
-        try:
-            with pytest.raises(TruncatedDataError):
-                read_pgm(data)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**16
+        assert traced_peak(lambda: pytest.raises(TruncatedDataError, read_pgm, data)) < 2**16
 
