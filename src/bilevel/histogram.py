@@ -49,13 +49,18 @@ _SLICE_PIXELS = 1 << 16
 # (2-vCPU Xeon, numpy 2.4, 3 runs of 15 rounds, the two counts alternating,
 # the raster at a mapped P5 file's odd offset), pairs took 26-27 against
 # 30-32 ms (medians) on a page with 32 % of its pixels in one bin, and 27-30
-# against 49-54 ms on a two-level page (85 %); on the benchmark's noisy
-# scan (top bin 2 %) the two were within 1.5 ms of each other and the
-# faster one changed from run to run (pairs faster in 1, 6 and 6 of 15
-# rounds). Below this size pairs gained little or lost, in an earlier
-# measurement (medians of 6 alternating rounds): 0.85-1.01 of the pixel
-# count's time at 1024^2, 1.00-1.07 at 512^2 and 1.22-1.49 at 256^2-364^2,
-# though constant images gained at every size (0.61-0.94).
+# against 49-54 ms on a two-level page (85 %). Both sides, as benchmark
+# pairs run from one checkout in alternating order (seed 7, 6 s each, p50):
+# scan-4k read 45.8/42.7/39.9/41.8 ms counted in pairs against
+# 46.5/45.6/44.0/41.4 ms counted by pixel, and batch-256 read
+# 1.18/1.44/1.47/1.28 ms counted by pixel against 1.96/1.80/1.83/1.78 ms
+# counted in pairs; a 256^2 compare call counted in pairs took 318 minor
+# page faults in process (0 by pixel), likely because its 512 KiB table and
+# bincount output go back to the kernel after each call. Below this size
+# pairs gained little or lost, in an earlier measurement (medians of 6
+# alternating rounds): 0.85-1.01 of the pixel count's time at 1024^2,
+# 1.00-1.07 at 512^2 and 1.22-1.49 at 256^2-364^2, though constant images
+# gained at every size (0.61-0.94).
 _PAIR_MIN_PIXELS = 1 << 21
 
 _INT64_MAX = (1 << 63) - 1

@@ -227,7 +227,7 @@ def _decode_pgm(data: bytes | mmap.mmap) -> GrayImage:
             raise PgmFormatError(f"invalid {what} token {token.decode('ascii', 'replace')!r} in header")
         if len(token.lstrip(b"0")) > _MAX_HEADER_DIGITS:
             raise PgmFormatError(f"{what} in header has more than {_MAX_HEADER_DIGITS} significant digits")
-        values.append(int(token))
+        values.append(int(token.lstrip(b"0") or b"0"))  # no zero padding meets int()'s digit limit
     width, height, maxval = values
     pos = header.end()
     if width < 1 or height < 1:

@@ -1,4 +1,4 @@
-"""Shared generators, reference oracles, a CLI runner, and the file-contract model's runs and fault plans.
+"""Shared generators, reference oracles, the size forks, a CLI runner, and the file-contract model's runs and fault plans.
 
 The run oracle is the benchmark's: ``Reference`` and ``check_call`` from
 ``perfbench/check.py`` rebuild a CLI call's stdout and files from the input
@@ -27,6 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import bilevel.cli
 import bilevel.pgm
@@ -51,8 +52,47 @@ OVERLONG_DIGIT_INPUTS = {
     "sample": b"P2 1 1 255 " + b"9" * 5000,
     "width": b"P2 " + b"9" * 5000 + b" 1 255 0",
     "width-times-height": b"P5 " + b"9" * 4000 + b" " + b"9" * 4000 + b" 255 ",
+    "zero-padded height": b"P2 1 " + b"0" * 5000 + b"1" * 21 + b" 255 0",
     "maxval": b"P2 1 1 " + b"9" * 4400 + b" 0",
 }
+
+# A size fork is a code path that a size constant chooses: blocks and
+# sub-blocks of the encoders, slices of the P2 decode and of the pixel count,
+# the input size that is mapped, and the image size that is counted in pairs.
+# Drawn from these ranges, every constant is small, so an image of a few
+# dozen pixels crosses each of its forks many times.
+FORKS = {
+    "pgm._BLOCK_PIXELS": st.integers(1, 16),
+    # A binary P2 sub-block is budgeted by rows padded to whole bytes, 8 to
+    # 40 pixels wide in the tests: it takes two or more rows only from 16 pixels on.
+    "pgm._SUB_BLOCK_PIXELS": st.integers(1, 128),
+    "pgm._SLICE_BYTES": st.integers(1, 13),
+    "pgm._MAP_MIN_BYTES": st.integers(0, 64),
+    # Images below it are counted pixel by pixel, in slices of _SLICE_PIXELS;
+    # at 1, a one-pixel image is the odd last pixel of zero pairs.
+    "histogram._PAIR_MIN_PIXELS": st.integers(1, 64),
+    "histogram._SLICE_PIXELS": st.integers(1, 13),
+}
+
+
+def drawn_forks(*names: str) -> st.SearchStrategy[dict[str, int] | None]:
+    """None, for the shipped constants, or a dict of the named ``FORKS`` (all six if none is named) drawn small."""
+    return st.none() | st.fixed_dictionaries({name: FORKS[name] for name in names or FORKS})
+
+
+def sizes(**constants: int) -> dict[str, int]:
+    """Chosen ``FORKS`` values, each constant named without its module: ``sizes(_SLICE_BYTES=3)``."""
+    names = {name.partition(".")[2]: name for name in FORKS}
+    return {names[short]: value for short, value in constants.items()}
+
+
+@contextlib.contextmanager
+def forked(forks: dict[str, int] | None):
+    """A monkeypatch context with each size constant of ``forks`` set, for further patches too."""
+    with pytest.MonkeyPatch.context() as patch:
+        for name, value in (forks or {}).items():
+            patch.setattr(f"bilevel.{name}", value)
+        yield patch
 
 
 def image_of(values) -> GrayImage:
@@ -320,12 +360,11 @@ def execute(root: Path, call, plan: Plan = Plan()) -> Outcome:
             yield chunk
 
     out, err = io.StringIO(), io.StringIO()
-    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    one_row = sizes(_BLOCK_PIXELS=IMAGE.width, _SUB_BLOCK_PIXELS=IMAGE.width)
+    with forked(one_row) as patch, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         patch.chdir(root)
         proxy.patch(patch)
         patch.setattr(bilevel.pgm, "_pgm_body", body)
-        for name in ("_BLOCK_PIXELS", "_SUB_BLOCK_PIXELS"):
-            patch.setattr(bilevel.pgm, name, IMAGE.width)
         try:
             result = call()
         except SystemExit as exc:

@@ -370,6 +370,16 @@ class TestMemory:
         assert peak <= 0.5 * image.pixels.nbytes
         capsys.readouterr()
 
+    def test_a_small_image_is_counted_pixel_by_pixel(self, tmp_path, monkeypatch, capsys):
+        # Below histogram._PAIR_MIN_PIXELS no 512 KiB pair table and bincount
+        # output are made: a 256 x 256 call peaks at 0.57 MiB, and at 1.56 MiB
+        # when its pixels are counted in pairs (numpy 2.4).
+        rng = np.random.default_rng(8)
+        image = GrayImage(rng.integers(0, 256, size=(256, 256), dtype=np.uint8))
+        args = ["-m", "compare", "--report", "r.json", "--histograms", "h"]
+        assert self.traced_peak(tmp_path, monkeypatch, image, args) <= 2**20
+        capsys.readouterr()
+
     def test_plain_text_codec_works_in_bounded_memory(self, tmp_path, monkeypatch, capsys):
         # A mapped 1024 x 1024 P2 input is decoded slice by slice into the
         # 1 MiB image, and the output is binarized into one 1 MiB block and

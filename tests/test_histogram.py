@@ -1,5 +1,4 @@
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,7 +6,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-import bilevel.histogram
 from bilevel import (
     BinaryImage,
     EmptyInputError,
@@ -17,7 +15,7 @@ from bilevel import (
     class_mean,
     global_mean,
 )
-from helpers import image_of, naive_class_mean, random_gray_image, traced_peak
+from helpers import drawn_forks, forked, image_of, naive_class_mean, random_gray_image, sizes, traced_peak
 
 INT64_MAX = 2**63 - 1
 
@@ -83,16 +81,19 @@ class TestBuildHistogram:
             ),
         ),
         kind=st.sampled_from(["gray", "binary", "mapped"]),
-        pair_min=st.integers(1, 40),
-        slice_pixels=st.integers(1, 8),
+        forks=drawn_forks("histogram._PAIR_MIN_PIXELS", "histogram._SLICE_PIXELS"),
     )
     # Odd counts just under and at the pair threshold, an even count at it,
     # and one pixel, which is only the odd last pixel of zero pairs.
-    @example(pixels=np.arange(15, dtype=np.uint8).reshape(3, 5), kind="mapped", pair_min=15, slice_pixels=2)
-    @example(pixels=np.arange(15, dtype=np.uint8).reshape(3, 5), kind="gray", pair_min=16, slice_pixels=2)
-    @example(pixels=np.full((4, 4), 200, np.uint8), kind="gray", pair_min=16, slice_pixels=3)
-    @example(pixels=np.full((1, 1), 7, np.uint8), kind="gray", pair_min=1, slice_pixels=1)
-    def test_pair_counts_equal_one_bincount(self, pixels, kind, pair_min, slice_pixels):
+    @example(pixels=np.arange(15, dtype=np.uint8).reshape(3, 5), kind="mapped",
+             forks=sizes(_PAIR_MIN_PIXELS=15, _SLICE_PIXELS=2))
+    @example(pixels=np.arange(15, dtype=np.uint8).reshape(3, 5), kind="gray",
+             forks=sizes(_PAIR_MIN_PIXELS=16, _SLICE_PIXELS=2))
+    @example(pixels=np.full((4, 4), 200, np.uint8), kind="gray",
+             forks=sizes(_PAIR_MIN_PIXELS=16, _SLICE_PIXELS=3))
+    @example(pixels=np.full((1, 1), 7, np.uint8), kind="gray",
+             forks=sizes(_PAIR_MIN_PIXELS=1, _SLICE_PIXELS=1))
+    def test_pair_counts_equal_one_bincount(self, pixels, kind, forks):
         if kind == "binary":
             pixels = np.where(pixels > 127, 255, 0).astype(np.uint8)
             image = BinaryImage(pixels)
@@ -102,8 +103,7 @@ class TestBuildHistogram:
             image = GrayImage._trusted(view.reshape(pixels.shape))
         else:
             image = GrayImage(pixels)
-        with mock.patch.object(bilevel.histogram, "_PAIR_MIN_PIXELS", pair_min), \
-                mock.patch.object(bilevel.histogram, "_SLICE_PIXELS", slice_pixels):
+        with forked(forks):
             counts = build_histogram(image).counts
         assert np.array_equal(counts, np.bincount(pixels.reshape(-1), minlength=256))
 

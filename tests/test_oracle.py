@@ -1,10 +1,8 @@
 """Every CLI run shape, and every size fork, checked against the benchmark's oracle.
 
-A size fork is a code path that a size constant chooses: blocks and
-sub-blocks of the encoders, slices of the P2 decode and of the pixel count,
-the input size that is mapped, and the image size that is counted in pairs.
-With ``forks`` drawn, all six constants are small, so a 40x40 image crosses
-each of them many times; with ``forks`` None, the real constants run.
+With ``forks`` drawn, all six constants of ``helpers.FORKS`` are small, so
+a 40x40 image crosses each of their forks many times; with ``forks`` None,
+the real constants run.
 """
 
 import ast
@@ -15,24 +13,11 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bilevel.cli
-from helpers import PERFBENCH_DIR, Reference, Run, check_call, encode
-
-FORKS = {
-    "pgm._BLOCK_PIXELS": st.integers(1, 16),
-    # A binary P2 sub-block is budgeted by rows padded to whole bytes, 8 to
-    # 40 pixels here: it takes two or more rows only from 16 pixels on.
-    "pgm._SUB_BLOCK_PIXELS": st.integers(1, 128),
-    "pgm._SLICE_BYTES": st.integers(1, 13),
-    "pgm._MAP_MIN_BYTES": st.integers(0, 64),
-    # Images below it are counted pixel by pixel, in slices of _SLICE_PIXELS.
-    "histogram._PAIR_MIN_PIXELS": st.integers(2, 64),
-    "histogram._SLICE_PIXELS": st.integers(1, 13),
-}
+from helpers import PERFBENCH_DIR, Reference, Run, check_call, drawn_forks, encode, forked
 
 # Other valid spellings of an encoded image; the last three apply to P2 only.
 VARIANTS = ("header comments", "CRLF", "zero-padded", "rows per line", "raster comment")
@@ -81,7 +66,7 @@ def spelled(pixels: np.ndarray, flavor: str, variants: frozenset) -> bytes:
     ascii=st.booleans(),
     report=st.booleans(),
     histograms=st.booleans(),
-    forks=st.none() | st.fixed_dictionaries(FORKS),
+    forks=drawn_forks(),
 )
 def test_every_run_matches_the_oracle(pixels, input_flavor, variants, method, ascii, report, histograms, forks):
     report = report or method == "compare"  # compare without --report is a usage error
@@ -89,11 +74,9 @@ def test_every_run_matches_the_oracle(pixels, input_flavor, variants, method, as
     methods = ["mean", "iterative"] if method == "compare" else [method]
     roles = [*methods, *["input.csv", "output.csv"] * histograms, *["report"] * report]
     out = io.StringIO()
-    with tempfile.TemporaryDirectory() as root, pytest.MonkeyPatch.context() as patch:
+    with tempfile.TemporaryDirectory() as root, forked(forks) as patch:
         (Path(root) / "in.pgm").write_bytes(spelled(pixels, input_flavor, variants))
         patch.chdir(root)
-        for name, value in (forks or {}).items():
-            patch.setattr(f"bilevel.{name}", value)
         with contextlib.redirect_stdout(out):
             code = bilevel.cli.main(run.argv())
         outputs = dict(zip(roles, map(Path, run.targets())))

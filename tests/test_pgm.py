@@ -2,7 +2,6 @@ import collections
 import copy
 import os
 import pickle
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,10 +28,12 @@ from helpers import (
     OVERLONG_DIGIT_INPUTS,
     WHITESPACE,
     Plan,
+    drawn_forks,
     encode,
-    naive_plain_samples,
+    forked,
     naive_read_pgm,
     random_gray_image,
+    sizes,
     traced_peak,
 )
 
@@ -63,6 +64,9 @@ class TestReadPgm:
     def test_plain_arbitrary_sample_whitespace(self):
         data = b"P2\n2 2\n255\n0\t1\r\n2    3\n"
         assert _read(data) == GrayImage.from_flat(2, 2, [0, 1, 2, 3])
+
+    def test_header_zeros_past_the_int_digit_limit_do_not_count(self):
+        assert _read(b"P2 " + b"0" * 5000 + b"1 1 255 7").pixels.tolist() == [[7]]
 
     def test_raw_pixels_keep_row_major_order(self):
         img = _read(b"P5\n3 2\n255\n" + bytes([1, 2, 3, 4, 5, 6]))
@@ -170,6 +174,7 @@ class TestReadPgmRejections:
             "sample": (SampleRangeError, f"sample value {'9' * 5000} exceeds maxval 255"),
             "width": (PgmFormatError, "width in header has more than 20 significant digits"),
             "width-times-height": (PgmFormatError, "width in header has more than 20 significant digits"),
+            "zero-padded height": (PgmFormatError, "height in header has more than 20 significant digits"),
             "maxval": (PgmFormatError, "maxval in header has more than 20 significant digits"),
         }[name]
         with pytest.raises(error) as excinfo:
@@ -341,15 +346,17 @@ def _images(max_side: int):
 
 
 @st.composite
-def _plain_rasters(draw, separators=_SEPARATORS):
+def _plain_rasters(draw):
     """(raster, width, height); the width divides the piece count, and the height often matches it or misses it by a row.
 
     The raster opens with the byte that ends the maxval token: whitespace,
     or a comment that may swallow the rest of its line. No pieces gives a
-    blank or comment-only raster.
+    blank or comment-only raster. In one raster of four, an empty separator
+    may glue two pieces into one token, so the count rarely matches.
     """
     opening = draw(st.sampled_from([b"\n", b" ", b"\t", b"\r\n", b"#c\n", b"#"]))
     pieces = draw(st.lists(st.one_of(_SAMPLE_TOKENS, _SAMPLE_TOKENS, _ODD_PIECES), max_size=24))
+    separators = draw(st.sampled_from([_SEPARATORS.filter(bool)] * 3 + [_SEPARATORS]))
     seps = draw(st.lists(separators, min_size=len(pieces) + 1, max_size=len(pieces) + 1))
     body = opening + seps[0] + b"".join(piece + sep for piece, sep in zip(pieces, seps[1:]))
     width = draw(st.sampled_from([width for width in (1, 2, 3, 4) if len(pieces) % width == 0]))
@@ -361,10 +368,12 @@ def _plain_rasters(draw, separators=_SEPARATORS):
 def _header_tokens(value: int):
     """A header token for ``value``: as written, or zero-padded, or (one in nine) zero, or odd.
 
-    An odd token has more than 20 significant digits, or just 20, or zeros
-    that do not count; or it is not a digit run, or it is empty.
+    A padded token is 2 to 24 digits long, or (one in 24) 4400, past the
+    interpreter's limit on int() of a digit string. An odd token has more
+    than 20 significant digits, or just 20, or zeros that do not count; or
+    it is not a digit run, or it is empty.
     """
-    padded = st.integers(2, 24).map(lambda digits: b"%0*d" % (digits, value))
+    padded = st.sampled_from([*range(2, 25), 4400]).map(lambda digits: b"%0*d" % (digits, value))
     odd = st.sampled_from([
         b"1" + b"0" * 20, b"0" * 9 + b"9" * 21, b"9" * 20, b"0" * 30 + b"1",
         b"wide", b"-1", b"+1", b"1.5", b"0x1", b"\xff", b"",
@@ -381,14 +390,14 @@ def _pgm_files(draw):
     header token; width, height and a maxval of 255, or one in four of 1,
     254, 256 or 65535, from ``_header_tokens``, an empty token ending the
     file; then a P2 raster from ``_plain_rasters``, so its dimensions often
-    match its pieces, no two of them glued into one token; or one delimiter byte
+    match its pieces; or one delimiter byte
     (whitespace, or one in four ``#``) and a P5 raster one byte short, exact
     or one byte over. One file in eight is cut anywhere and ends in
     arbitrary bytes.
     """
     magic = draw(st.sampled_from([b"P2", b"P5"] * 5 + [b"P3"]))
     if magic == b"P2":
-        raster, width, height = draw(_plain_rasters(_SEPARATORS.filter(bool)))
+        raster, width, height = draw(_plain_rasters())
     else:
         width, height = draw(st.integers(1, 4)), draw(st.integers(1, 4))
         size = width * height + draw(st.integers(-1, 1))
@@ -428,40 +437,12 @@ def _ramp(height: int, width: int) -> np.ndarray:
     return (np.arange(height * width) * 37 % 256).astype(np.uint8).reshape(height, width)
 
 
-class TestSlicedCodec:
-    @settings(max_examples=600, deadline=None)
-    @given(case=_plain_rasters(), slice_bytes=st.integers(1, 64))
-    @example(case=(b" 1 2\r\n3 4 ", 2, 2), slice_bytes=1)
-    @example(case=(b"\n  \t\n", 1, 1), slice_bytes=2)
-    @example(case=(b"\n1 2 3 4 5", 2, 2), slice_bytes=3)
-    @example(case=(b"\n1 2 3", 2, 2), slice_bytes=3)
-    @example(case=(b"\n1 2 00000000000000000000000000256 3", 2, 2), slice_bytes=4)
-    @example(case=(b"\n1 2 # 3\n4 5", 2, 2), slice_bytes=5)
-    # Surplus counted over every slice, not up to the one that overflows.
-    @example(case=(b"\n00000 0#\n0", 1, 1), slice_bytes=1)
-    # A comment holding spaces past the slice's nominal end.
-    @example(case=(b"\n1 2 # a b c d\n3 4", 2, 2), slice_bytes=3)
-    # A raster that ends in a comment, and a comment right after maxval.
-    @example(case=(b"\n1#", 1, 1), slice_bytes=1)
-    @example(case=(b"#c\n7", 1, 1), slice_bytes=1)
-    # A one-digit token two bytes after another is not their hundreds and ones.
-    @example(case=(b"\n5 7", 2, 1), slice_bytes=64)
-    # Above 255 only through a nonzero digit with three more after it, or
-    # through the last three digits of a zero-padded token.
-    @example(case=(b"\n1000", 1, 1), slice_bytes=64)
-    @example(case=(b"\n0000256", 1, 1), slice_bytes=64)
-    @example(case=(b"\n7 0001000 8", 3, 1), slice_bytes=2)
-    # A zero-padded token across the slice's nominal end, and a raster that
-    # ends on a digit.
-    @example(case=(b"\n1 000000000000000000000000000255 2 3", 2, 2), slice_bytes=5)
-    @example(case=(b"\n12 34\n56 255", 2, 2), slice_bytes=3)
-    def test_sliced_decode_matches_the_naive_reference(self, case, slice_bytes):
-        raster, width, height = case
-        data = b"P2\n%d %d\n255" % (width, height) + raster
-        with mock.patch.object(bilevel.pgm, "_SLICE_BYTES", slice_bytes):
-            sliced = decode_outcome(read_pgm, data)
-        assert sliced == decode_outcome(naive_plain_samples, raster, width, height)
+# The encoders' two size forks: blocks of a binary P5 body, sub-blocks of a P2 body.
+_BLOCKS = ("pgm._BLOCK_PIXELS", "pgm._SUB_BLOCK_PIXELS")
+_SIXTEEN = sizes(_BLOCK_PIXELS=16, _SUB_BLOCK_PIXELS=16)
 
+
+class TestSlicedCodec:
     def test_zero_padded_tokens_past_the_int_digit_limit(self):
         # Zero-padded tokens past the interpreter's limit on int() of a digit
         # string: the first reads as 255; the second precedes, in its slice,
@@ -497,39 +478,13 @@ class TestSlicedCodec:
         # about 1.65 MiB here, slices of 2^17 bytes at about 2.3 MiB.
         assert peaks["clean"] <= 2 * 2**20, peaks
 
-    # With 16-pixel sub-blocks: width 1 (16 rows a sub-block), height 1, a
-    # width that does not divide 16, rows wider than a sub-block (one row
-    # each), and heights that are not a multiple of the rows per sub-block.
-    @pytest.mark.parametrize(
-        "height,width", [(37, 1), (1, 1), (1, 40), (7, 5), (3, 20), (9, 4), (16, 16)]
-    )
-    def test_sub_block_chunks_join_to_the_naive_encoding(self, tmp_path, height, width):
-        rng = np.random.default_rng(height * 100 + width)
-        image = GrayImage(rng.integers(0, 256, size=(height, width), dtype=np.uint8))
-        threshold = 127.5
-        binary = binarize(image, threshold)
-        rows = min(height, max(1, 16 // width))
-        with mock.patch.object(bilevel.pgm, "_SUB_BLOCK_PIXELS", 16), mock.patch.object(
-            bilevel.pgm, "_BLOCK_PIXELS", 32
-        ):
-            chunks = list(bilevel.pgm._pgm_body(image.pixels, "P2"))
-            assert len(chunks) == -(-height // rows)
-            assert write_pgm(image, "P2") == encode(image.pixels, "P2")
-            save_pgm(tmp_path / "out.pgm", image, "P2")
-            assert (tmp_path / "out.pgm").read_bytes() == encode(image.pixels, "P2")
-            level = bilevel.threshold._split_level(threshold)
-            streamed = b"".join(bilevel.pgm._pgm_file(image.pixels, "P2", level))
-            assert streamed == encode(binary.pixels, "P2")
-            streamed = b"".join(bilevel.pgm._pgm_file(image.pixels, "P5", level))
-            assert streamed == write_pgm(binary)
-
     @pytest.mark.parametrize("level", [50, 100, 200])
     def test_binary_p5_chunks_are_buffers_of_their_own(self, level):
         # Chunks joined after the last is made, as b"".join does: no chunk
         # may be overwritten by a later block. Each level gives the rows of
         # the ramp other bits.
         pixels = np.arange(0, 256, 16, dtype=np.uint8).reshape(4, 4)
-        with mock.patch.object(bilevel.pgm, "_BLOCK_PIXELS", 4):
+        with forked(sizes(_BLOCK_PIXELS=4)):
             chunks = list(bilevel.pgm._pgm_file(pixels, "P5", level))
             assert len(chunks) == 5
             streamed = b"".join(chunks)
@@ -559,9 +514,7 @@ class TestSlicedCodec:
         # A writer or caller may count a chunk's bytes with len().
         height, width = 9, 5
         pixels = np.random.default_rng(17).integers(0, 256, size=(height, width), dtype=np.uint8)
-        with mock.patch.object(bilevel.pgm, "_SUB_BLOCK_PIXELS", 16), mock.patch.object(
-            bilevel.pgm, "_BLOCK_PIXELS", 16
-        ):
+        with forked(_SIXTEEN):
             chunks = [memoryview(chunk) for chunk in bilevel.pgm._pgm_body(pixels, flavor, level)]
         # A binary P2 row is budgeted padded to whole bytes, 8 pixels here.
         span = -(-width // 8) * 8 if flavor == "P2" and level is not None else width
@@ -586,19 +539,46 @@ class TestSlicedCodec:
 
 
 class TestCodecProperties:
-    @settings(max_examples=300, deadline=None)
-    @given(data=_pgm_files())
+    @settings(max_examples=600, deadline=None)
+    @given(data=_pgm_files(), forks=drawn_forks("pgm._SLICE_BYTES"))
     # Inputs no other test reads; every input of TestReadPgm and
     # TestReadPgmRejections meets the reference decoder through _read.
-    @example(data=b"P2\n1 2\n255\x0b7\x0c00008\r")
-    @example(data=b"P2\n1 1\n255#7\n8")
-    @example(data=b"P2\n1 1\n255\n")
-    @example(data=b"P2\n1 1\n255")
-    @example(data=b"P2\n3 1\n255 300 1 99999999999999999999")
-    # The range is known only for a slice of digits and whitespace, so it takes two slices to see the order.
-    @example(data=b"P2 2 1 255 256" + b" " * 2**16 + b"x")
-    def test_read_matches_the_reference_decoder(self, data):
-        assert decode_outcome(read_pgm, data) == decode_outcome(naive_read_pgm, data)
+    @example(data=b"P2\n1 2\n255\x0b7\x0c00008\r", forks=None)
+    @example(data=b"P2\n1 1\n255#7\n8", forks=None)
+    @example(data=b"P2\n1 1\n255\n", forks=None)
+    @example(data=b"P2\n1 1\n255", forks=None)
+    @example(data=b"P2\n3 1\n255 300 1 99999999999999999999", forks=None)
+    # P2 slices of a few bytes, each extended to the next whitespace byte.
+    # A slice's range is known only if it is all digits and whitespace, so
+    # it takes two slices, as drawn ones this small give, to see that the
+    # character set is checked before the range.
+    @example(data=b"P2\n2 2\n255 1 2\r\n3 4 ", forks=sizes(_SLICE_BYTES=1))
+    @example(data=b"P2\n1 1\n255\n  \t\n", forks=sizes(_SLICE_BYTES=2))
+    @example(data=b"P2\n2 2\n255\n1 2 3 4 5", forks=sizes(_SLICE_BYTES=3))
+    @example(data=b"P2\n2 2\n255\n1 2 3", forks=sizes(_SLICE_BYTES=3))
+    @example(data=b"P2\n2 2\n255\n1 2 00000000000000000000000000256 3", forks=sizes(_SLICE_BYTES=4))
+    @example(data=b"P2\n2 2\n255\n1 2 # 3\n4 5", forks=sizes(_SLICE_BYTES=5))
+    # Surplus counted over every slice, not up to the one that overflows.
+    @example(data=b"P2\n1 1\n255\n00000 0#\n0", forks=sizes(_SLICE_BYTES=1))
+    # A comment holding spaces past the slice's nominal end.
+    @example(data=b"P2\n2 2\n255\n1 2 # a b c d\n3 4", forks=sizes(_SLICE_BYTES=3))
+    # A raster that ends in a comment, and a comment right after maxval.
+    @example(data=b"P2\n1 1\n255\n1#", forks=sizes(_SLICE_BYTES=1))
+    @example(data=b"P2\n1 1\n255#c\n7", forks=sizes(_SLICE_BYTES=1))
+    # A one-digit token two bytes after another is not their hundreds and ones.
+    @example(data=b"P2\n2 1\n255\n5 7", forks=sizes(_SLICE_BYTES=64))
+    # Above 255 only through a nonzero digit with three more after it, or
+    # through the last three digits of a zero-padded token.
+    @example(data=b"P2\n1 1\n255\n1000", forks=sizes(_SLICE_BYTES=64))
+    @example(data=b"P2\n1 1\n255\n0000256", forks=sizes(_SLICE_BYTES=64))
+    @example(data=b"P2\n3 1\n255\n7 0001000 8", forks=sizes(_SLICE_BYTES=2))
+    # A zero-padded token across the slice's nominal end, and a raster that
+    # ends on a digit.
+    @example(data=b"P2\n2 2\n255\n1 000000000000000000000000000255 2 3", forks=sizes(_SLICE_BYTES=5))
+    @example(data=b"P2\n2 2\n255\n12 34\n56 255", forks=sizes(_SLICE_BYTES=3))
+    def test_read_matches_the_reference_decoder(self, data, forks):
+        with forked(forks):
+            assert decode_outcome(read_pgm, data) == decode_outcome(naive_read_pgm, data)
 
     @settings(max_examples=150, deadline=None)
     @given(pixels=_images(8), data=st.data())
@@ -659,64 +639,65 @@ class TestCodecProperties:
         assert isinstance(image, GrayImage)
 
     @settings(max_examples=200, deadline=None)
-    @given(pixels=_images(24))
-    @example(pixels=np.zeros((1, 1), np.uint8))
-    @example(pixels=np.arange(256, dtype=np.uint8).reshape(1, 256))
-    @example(pixels=np.arange(256, dtype=np.uint8).reshape(256, 1))
-    def test_plain_encode_matches_naive_rows(self, pixels):
-        assert write_pgm(GrayImage(pixels), "P2") == encode(pixels, "P2")
+    @given(pixels=_images(24), forks=drawn_forks(*_BLOCKS))
+    @example(pixels=np.zeros((1, 1), np.uint8), forks=None)
+    @example(pixels=np.arange(256, dtype=np.uint8).reshape(1, 256), forks=None)
+    @example(pixels=np.arange(256, dtype=np.uint8).reshape(256, 1), forks=None)
+    # With 16-pixel sub-blocks: width 1 (16 rows a sub-block), height 1, a
+    # width that does not divide 16, rows wider than a sub-block (one row
+    # each), and heights that are not a multiple of the rows per sub-block.
+    @example(pixels=_ramp(37, 1), forks=_SIXTEEN)
+    @example(pixels=_ramp(1, 1), forks=_SIXTEEN)
+    @example(pixels=_ramp(1, 40), forks=_SIXTEEN)
+    @example(pixels=_ramp(7, 5), forks=_SIXTEEN)
+    @example(pixels=_ramp(3, 20), forks=_SIXTEEN)
+    @example(pixels=_ramp(9, 4), forks=_SIXTEEN)
+    @example(pixels=_ramp(16, 16), forks=_SIXTEEN)
+    def test_plain_encode_matches_naive_rows(self, pixels, forks):
+        height, width = pixels.shape
+        with forked(forks):
+            assert write_pgm(GrayImage(pixels), "P2") == encode(pixels, "P2")
+            # One chunk per sub-block of whole rows, one row if a row is wider.
+            rows = max(1, bilevel.pgm._SUB_BLOCK_PIXELS // width)
+            assert len(list(bilevel.pgm._pgm_body(pixels, "P2"))) == -(-height // rows)
 
     @settings(max_examples=100, deadline=None)
-    @given(mask=arrays(np.bool_, st.tuples(st.integers(1, 24), st.integers(1, 24))))
-    def test_plain_encode_of_binary_matches_naive_rows(self, mask):
+    @given(mask=arrays(np.bool_, st.tuples(st.integers(1, 24), st.integers(1, 24))), forks=drawn_forks(*_BLOCKS))
+    def test_plain_encode_of_binary_matches_naive_rows(self, mask, forks):
         pixels = np.where(mask, 255, 0).astype(np.uint8)
-        assert write_pgm(BinaryImage(pixels), "P2") == encode(pixels, "P2")
+        with forked(forks):
+            assert write_pgm(BinaryImage(pixels), "P2") == encode(pixels, "P2")
 
     @settings(max_examples=300, deadline=None)
     @given(
         pixels=st.one_of(_images(40), _images(40).map(lambda p: np.full_like(p, p[0, 0]))),
         flavor=st.sampled_from(["P2", "P5"]),
         threshold=st.one_of(st.sampled_from([0.0, 255.0]), st.floats(0, 255)),
-        block_pixels=st.sampled_from([1, 5, 6, 12, 16, 40]),
+        forks=drawn_forks(*_BLOCKS),
     )
-    @example(
-        pixels=np.arange(256, dtype=np.uint8).reshape(256, 1), flavor="P2", threshold=0.0, block_pixels=16
-    )
-    @example(
-        pixels=np.arange(256, dtype=np.uint8).reshape(256, 1), flavor="P5", threshold=255.0, block_pixels=16
-    )
-    @example(
-        pixels=np.arange(40, dtype=np.uint8).reshape(1, 40), flavor="P2", threshold=19.5, block_pixels=16
-    )
-    @example(
-        pixels=np.arange(40, dtype=np.uint8).reshape(1, 40), flavor="P5", threshold=19.5, block_pixels=16
-    )
-    @example(pixels=np.full((5, 7), 128, np.uint8), flavor="P2", threshold=127.999, block_pixels=16)
+    @example(pixels=np.arange(256, dtype=np.uint8).reshape(256, 1), flavor="P2", threshold=0.0, forks=_SIXTEEN)
+    @example(pixels=np.arange(256, dtype=np.uint8).reshape(256, 1), flavor="P5", threshold=255.0, forks=_SIXTEEN)
+    @example(pixels=np.arange(40, dtype=np.uint8).reshape(1, 40), flavor="P2", threshold=19.5, forks=_SIXTEEN)
+    @example(pixels=np.arange(40, dtype=np.uint8).reshape(1, 40), flavor="P5", threshold=19.5, forks=_SIXTEEN)
+    @example(pixels=np.full((5, 7), 128, np.uint8), flavor="P2", threshold=127.999, forks=_SIXTEEN)
     # Widths about a packed byte: each row is packed to whole bytes, so a
     # row narrower than 8 pixels is one partial byte, and a wider one ends
     # in a partial byte unless its width is a multiple of 8.
-    @example(pixels=_ramp(13, 1), flavor="P2", threshold=127.5, block_pixels=16)
-    @example(pixels=_ramp(9, 2), flavor="P2", threshold=127.5, block_pixels=16)
-    @example(pixels=_ramp(5, 3), flavor="P2", threshold=127.5, block_pixels=16)
-    @example(pixels=_ramp(4, 7), flavor="P2", threshold=127.5, block_pixels=16)
-    @example(pixels=_ramp(3, 8), flavor="P2", threshold=127.5, block_pixels=16)
-    @example(pixels=_ramp(3, 9), flavor="P2", threshold=127.5, block_pixels=16)
-    @example(pixels=_ramp(3, 17), flavor="P2", threshold=127.5, block_pixels=16)
+    @example(pixels=_ramp(13, 1), flavor="P2", threshold=127.5, forks=_SIXTEEN)
+    @example(pixels=_ramp(9, 2), flavor="P2", threshold=127.5, forks=_SIXTEEN)
+    @example(pixels=_ramp(5, 3), flavor="P2", threshold=127.5, forks=_SIXTEEN)
+    @example(pixels=_ramp(4, 7), flavor="P2", threshold=127.5, forks=_SIXTEEN)
+    @example(pixels=_ramp(3, 8), flavor="P2", threshold=127.5, forks=_SIXTEEN)
+    @example(pixels=_ramp(3, 9), flavor="P2", threshold=127.5, forks=_SIXTEEN)
+    @example(pixels=_ramp(3, 17), flavor="P2", threshold=127.5, forks=_SIXTEEN)
     # Sub-blocks of 6 and of 12 pixels hold less than one row padded to a
     # byte: each is one row.
-    @example(pixels=_ramp(9, 2), flavor="P2", threshold=127.5, block_pixels=6)
-    @example(pixels=_ramp(20, 1), flavor="P2", threshold=127.5, block_pixels=12)
-    def test_binary_body_of_gray_pixels_matches_the_binarized_image(
-        self, pixels, flavor, threshold, block_pixels
-    ):
-        # Sub-blocks and blocks of block_pixels pixels: width 1 gives
-        # block_pixels rows a block, a width above block_pixels one row
-        # each.
+    @example(pixels=_ramp(9, 2), flavor="P2", threshold=127.5, forks=sizes(_BLOCK_PIXELS=6, _SUB_BLOCK_PIXELS=6))
+    @example(pixels=_ramp(20, 1), flavor="P2", threshold=127.5, forks=sizes(_BLOCK_PIXELS=12, _SUB_BLOCK_PIXELS=12))
+    def test_binary_body_of_gray_pixels_matches_the_binarized_image(self, pixels, flavor, threshold, forks):
         binary = binarize(GrayImage(pixels), threshold).pixels
         level = bilevel.threshold._split_level(threshold)
-        with mock.patch.object(bilevel.pgm, "_SUB_BLOCK_PIXELS", block_pixels), mock.patch.object(
-            bilevel.pgm, "_BLOCK_PIXELS", block_pixels
-        ):
+        with forked(forks):
             body = b"".join(bilevel.pgm._pgm_body(pixels, flavor, level))
         assert body == b"".join(bilevel.pgm._pgm_body(binary, flavor))
 
