@@ -38,8 +38,8 @@ BIN_COUNT = 256
 # bincount widens its input to intp, so one call over a whole 4096x4096
 # image would allocate a 128 MiB temporary; slices of this size keep that
 # temporary at 512 KiB, inside the cache. A pair count holds three such
-# buffers at once (the intp slice, the 65536-bin table and bincount's
-# output), 1.5 MiB; 2^17-pair slices would take it to 2 MiB.
+# buffers at once (bincount's widened slice and its output, and the
+# 65536-bin table), 1.5 MiB; 2^17-pair slices would take it to 2 MiB.
 _SLICE_PIXELS = 1 << 16
 
 # Images of at least this many pixels are counted in pairs. The pairs buy
@@ -112,31 +112,23 @@ def build_histogram(image: GrayImage | BinaryImage) -> Histogram:
     """Count the exact multiplicity of every intensity in the image.
 
     An image of fewer than ``_PAIR_MIN_PIXELS`` pixels is counted pixel by
-    pixel, in slices of ``_SLICE_PIXELS``. A larger one is counted in pairs
-    of adjacent pixels, read as one ``np.uint16`` each, into a 65536-bin
-    table in slices of ``_SLICE_PIXELS`` pairs. The table's row sums plus its
-    column sums are the 256 bins, and an odd last pixel is added by hand.
-    The intp slice buffer and the table are allocated once per call, so
-    ``bincount``'s 512 KiB output is the only allocation per slice.
+    pixel into 256 bins. A larger one is counted in pairs of adjacent
+    pixels, read as one ``np.uint16`` each, into a 65536-bin table whose row
+    sums plus column sums are the 256 bins; an odd last pixel is added by
+    hand. Either is counted by one ``np.bincount`` loop in slices of
+    ``_SLICE_PIXELS`` elements, which ``bincount`` widens to intp itself.
     """
     flat = image.pixels.reshape(-1)
-    if flat.size < _PAIR_MIN_PIXELS:
-        counts = np.zeros(BIN_COUNT, dtype=np.int64)
-        for start in range(0, flat.size, _SLICE_PIXELS):
-            counts += np.bincount(flat[start : start + _SLICE_PIXELS], minlength=BIN_COUNT)
-        return Histogram(counts)
-    pairs = flat[: flat.size - flat.size % 2].view(np.uint16)
-    index = np.empty(_SLICE_PIXELS, dtype=np.intp)
-    table = np.zeros(BIN_COUNT * BIN_COUNT, dtype=np.int64)
-    for start in range(0, pairs.size, _SLICE_PIXELS):
-        chunk = pairs[start : start + _SLICE_PIXELS]
-        wide = index[: chunk.size]
-        np.copyto(wide, chunk)
-        table += np.bincount(wide, minlength=table.size)
-    table = table.reshape(BIN_COUNT, BIN_COUNT)
-    counts = table.sum(0) + table.sum(1)
-    if flat.size % 2:
-        counts[flat[-1]] += 1
+    pairs = flat.size >= _PAIR_MIN_PIXELS
+    units = flat[: flat.size - flat.size % 2].view(np.uint16) if pairs else flat
+    counts = np.zeros(BIN_COUNT * BIN_COUNT if pairs else BIN_COUNT, dtype=np.int64)
+    for start in range(0, units.size, _SLICE_PIXELS):
+        counts += np.bincount(units[start : start + _SLICE_PIXELS], minlength=counts.size)
+    if pairs:
+        table = counts.reshape(BIN_COUNT, BIN_COUNT)
+        counts = table.sum(0) + table.sum(1)
+        if flat.size % 2:
+            counts[flat[-1]] += 1
     return Histogram(counts)
 
 

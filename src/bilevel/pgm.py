@@ -18,15 +18,16 @@ A P2 raster is parsed from the input buffer in place, in slices of about
 ``_SLICE_BYTES``, each ending just after a whitespace byte or, if it holds
 a ``#``, just before its last ``#``, the next slice starting where that
 comment ends. So no token is split, and neither the raster nor a comment is
-ever copied whole. A slice's comments are stripped; a slice of ASCII digits
-and whitespace only is then parsed byte-wise by numpy into uint16 samples
-(:func:`_plain_samples`) and copied into the image, any other is split into
-tokens. Every slice is counted, and the first invalid token and the first
-sample above 255 are kept, so no raster, commented or malformed, is parsed
-whole. After the last slice the first failing check, in a fixed order,
-names the error: the sample count (:class:`TruncatedDataError` or surplus
-data), then the character set (only ASCII digits and whitespace; the first
-other token is quoted), then the range (the first sample above 255 is
+ever copied whole. A slice's comments are stripped, and its bytes are read
+once by numpy (:func:`_plain_samples`), which checks their character set
+as it parses them: a slice of ASCII digits and whitespace only becomes
+uint16 samples, copied into the image, and any other is split into tokens.
+Every slice is counted, and the first invalid token and the first sample
+above 255 are kept, so no raster, commented or malformed, is parsed whole.
+After the last slice the first failing check, in a fixed order, names the
+error: the sample count (:class:`TruncatedDataError` or surplus data),
+then the character set (only ASCII digits and whitespace; the first other
+token is quoted), then the range (the first sample above 255 is
 quoted without its leading zeros, however many digits it has).
 
 :func:`_pgm_file`, which :func:`write_pgm`, :func:`save_pgm` and the CLI
@@ -88,7 +89,6 @@ MAXVAL = 255
 FLAVORS = ("P2", "P5")
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
-_DIGITS = b"0123456789"
 _HASH = 0x23  # '#'
 _MAX_HEADER_DIGITS = 20
 
@@ -283,12 +283,13 @@ def _parse_plain_raster(data: bytes | mmap.mmap, pos: int, width: int, height: i
             text = _COMMENT.sub(b"", data[start:last_hash])
             stop = _COMMENT.match(data, last_hash).end()
         start = stop
-        if text.translate(None, _DIGITS + _WHITESPACE):
+        parsed = _plain_samples(text)
+        if parsed is None:
             tokens = text.split()
             found += len(tokens)
             invalid = invalid or next(token for token in tokens if not token.isdigit())
-        elif text and not text.isspace():
-            samples, over = _plain_samples(text)
+        else:
+            samples, over = parsed
             if over and not high:
                 # Stripped of leading zeros, so int() never meets a token
                 # past its digit limit.
@@ -308,18 +309,22 @@ def _parse_plain_raster(data: bytes | mmap.mmap, pos: int, width: int, height: i
     return pixels.reshape(height, width)
 
 
-def _plain_samples(text: bytes) -> tuple[np.ndarray, bool]:
-    """The samples of ``text`` as uint16, and whether one is above 255.
+def _plain_samples(text: bytes) -> tuple[np.ndarray, bool] | None:
+    """The samples of ``text`` as uint16, and whether one is above 255; None if ``text`` has another byte.
 
-    ``text`` is ASCII digits and whitespace and holds a token. A sample is
-    the value of its token's last three digits, so a zero-padded token of
-    any length reads exactly. A token is above 255 if that value is, or if
-    it has a nonzero digit with three more digits after it.
+    ``text`` may hold only ASCII digits and whitespace; a blank or empty
+    one has no samples. A sample is the value of its token's last three
+    digits, so a zero-padded token of any length reads exactly. A token is
+    above 255 if that value is, or if it has a nonzero digit with three
+    more digits after it.
     """
-    # Whitespace wraps above 9. Two guard bytes before the text and one
-    # after keep every shifted view in bounds and end the last token.
+    # Two guard bytes before the text and one after keep every shifted view
+    # in bounds and end the last token. Less 48, the digits are 0-9, and
+    # whitespace wraps to 217-221 (\t \n \v \f \r) and 240 (the space).
     code = np.frombuffer(b"  " + text + b" ", np.uint8) - 48
     digit = code < 10
+    if not (digit | (code - 217 < 5) | (code == 240)).all():
+        return None
     code *= digit
     long = (code[2:-3].astype(bool) & digit[3:-2] & digit[4:-1] & digit[5:]).any()
     # The hundreds digit counts only where the tens byte is a digit, so
@@ -332,7 +337,7 @@ def _plain_samples(text: bytes) -> tuple[np.ndarray, bool]:
     value = np.multiply(tens, 10, dtype=np.uint16)
     value += code[2:-1]
     samples = np.compress(digit[2:-1] > digit[3:], value)  # at each token's last digit
-    return samples, bool(long or samples.max() > MAXVAL)
+    return samples, bool(long or (samples.size and samples.max() > MAXVAL))
 
 
 def _pgm_file(pixels: np.ndarray, flavor: str, level: int | None = None) -> Iterator[bytes | memoryview]:

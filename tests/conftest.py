@@ -14,7 +14,7 @@ from hypothesis import settings
 settings.register_profile("tier1", derandomize=True, database=None)
 settings.load_profile("tier1")
 
-TIME_LIMIT_S = 60  # the slowest test takes about 6 s
+TIME_LIMIT_S = 60  # the slowest test takes 6-8 s on 2 vCPUs; CI logs the ten slowest
 
 
 class TimeLimitExceeded(BaseException):

@@ -38,7 +38,7 @@ PERFBENCH_DIR = SRC_DIR.with_name("perfbench")
 
 # The benchmark's oracle, re-exported; check.py imports pgmfmt as a top-level module.
 sys.path.append(str(PERFBENCH_DIR))
-from check import Reference, check_call
+from check import Reference, check_call, parse_summary
 from pgmfmt import encode
 
 WHITESPACE = b" \t\n\r\x0b\x0c"  # the six bytes a PGM header and a P2 raster treat as whitespace

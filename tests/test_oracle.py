@@ -8,8 +8,11 @@ the real constants run.
 import ast
 import contextlib
 import io
+import json
+import math
 import re
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bilevel.cli
-from helpers import PERFBENCH_DIR, Reference, Run, check_call, drawn_forks, encode, forked
+from helpers import PERFBENCH_DIR, Reference, Run, check_call, drawn_forks, encode, forked, parse_summary
 
 # Other valid spellings of an encoded image; the last three apply to P2 only.
 VARIANTS = ("header comments", "CRLF", "zero-padded", "rows per line", "raster comment")
@@ -81,7 +84,43 @@ def test_every_run_matches_the_oracle(pixels, input_flavor, variants, method, as
             code = bilevel.cli.main(run.argv())
         outputs = dict(zip(roles, map(Path, run.targets())))
         flavor = "P2" if ascii else "P5"
-        assert check_call(Reference(pixels), methods, flavor, code, out.getvalue(), outputs) == []
+        ref = Reference(pixels)
+        assert check_call(ref, methods, flavor, code, out.getvalue(), outputs) == []
+        if report:
+            check_report(ref, json.loads(outputs["report"].read_bytes()), parse_summary(out.getvalue()), outputs)
+
+
+def step_at(ref: Reference, t: int) -> dict:
+    """The trace step at integer threshold ``t``, from ``ref``'s prefix sums; an empty class's mean is None."""
+    n_lo, w_lo = int(ref.n_lo[t]), int(ref.w_lo[t])
+    m1 = w_lo / n_lo if n_lo else None
+    m2 = (ref.w - w_lo) / (ref.n - n_lo) if ref.n > n_lo else None
+    return {"estimate": t, "m1": m1, "m2": m2, "total_mean": ref.midpoint(t)}
+
+
+def check_report(ref: Reference, document: dict, summary: dict, outputs: dict[str, Path]) -> None:
+    """``document``, a run's JSON report, rebuilt from ``ref`` and the run's ``summary`` and ``outputs``.
+
+    ``check_call`` compares a report only with an earlier one of the same
+    input, so the first report of each input is checked here.
+    """
+    assert (document["input"], document["width"], document["height"]) == ("in.pgm", *ref.pixels.shape[::-1])
+    csvs = {kind: str(outputs[f"{kind}.csv"]) if "input.csv" in outputs else None for kind in ("input", "output")}
+    assert document["histograms"] == csvs
+    assert list(document["methods"]) == list(summary)
+    for method, (_, optimum, steps) in summary.items():
+        entry = document["methods"][method]
+        assert (entry["estimate"], entry["optimum"]) == (ref.mean, optimum)
+        for key, rounded in (("estimate", "estimate_rounded"), ("optimum", "rounded")):
+            assert entry[rounded] == math.floor(Fraction(entry[key]) + Fraction(1, 2))  # half up, exactly
+        assert entry["converged"] == (method == "mean" or not ref.constant)
+        assert entry["degenerate"] == (not entry["converged"])
+        trace = entry["iterations"]
+        assert len(trace) == steps
+        if method == "iterative":
+            # Each step's estimate is the floor of the last one's total_mean.
+            estimates = [math.floor(ref.mean), *(math.floor(step["total_mean"]) for step in trace[:-1])]
+            assert trace == [step_at(ref, t) for t in estimates]
 
 
 def test_the_oracle_imports_no_bilevel():

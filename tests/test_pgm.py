@@ -65,6 +65,23 @@ class TestReadPgm:
         data = b"P2\n2 2\n255\n0\t1\r\n2    3\n"
         assert _read(data) == GrayImage.from_flat(2, 2, [0, 1, 2, 3])
 
+    @pytest.mark.parametrize("byte", range(256))
+    def test_every_byte_between_two_samples(self, byte):
+        # Whitespace parts the samples, a digit joins them into one, a '#'
+        # comments out the second and any other byte is refused.
+        char = bytes([byte])
+        data = b"P2 2 1 255\n7" + char + b" 9\n"
+        if char in WHITESPACE:
+            assert _read(data).pixels.tolist() == [[7, 9]]
+        elif char.isdigit():
+            assert _read(data).pixels.tolist() == [[70 + int(char), 9]]
+        elif char == b"#":
+            with pytest.raises(TruncatedDataError):
+                _read(data)
+        else:
+            with pytest.raises(PgmFormatError, match="^invalid sample token"):
+                _read(data)
+
     def test_header_zeros_past_the_int_digit_limit_do_not_count(self):
         assert _read(b"P2 " + b"0" * 5000 + b"1 1 255 7").pixels.tolist() == [[7]]
 
